@@ -15,10 +15,22 @@ constants and the paper figures they calibrate):
 
 The device is also *functional*: a sparse :class:`BlockStore` keeps real
 bytes so end-to-end workloads (mergesort, GEMM) verify correct results.
+
+A command is a state machine, not a process: one slotted
+:class:`_Command` record that heap-event callbacks advance through the
+FTL, flash-channel and PCIe stages.  The record is itself the event
+each stage boundary schedules, and each FIFO hand-off is a same-instant
+grant event created at release time, so the heap sees the very events —
+same times, priorities and relative order — that a per-command
+generator process would create, minus that process's start hop.  The
+stages stay separate events on purpose: collapsing them into one
+closed-form service time would change how same-instant PCIe arrivals
+are ordered, and with it the simulated timeline.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Dict, Generator, List, Optional
 
 import numpy as np
@@ -26,9 +38,9 @@ import numpy as np
 from repro.config import SSDConfig
 from repro.errors import InvalidLBAError, SimulationError
 from repro.hw.nvme import CQE, SQE, NVMeOpcode, QueuePair
-from repro.sim.core import Environment, Process, Timeout
+from repro.sim.core import NORMAL, Environment, Event
 from repro.sim.links import BandwidthLink
-from repro.sim.resources import Resource
+from repro.sim.resources import Fifo
 from repro.sim.stats import Counter, LatencyStat
 
 _PAGE_BYTES = 64 * 1024
@@ -99,6 +111,34 @@ class BlockStore:
         self._pages.clear()
 
 
+class _Command(Event):
+    """One command in flight, and the heap event of its next stage.
+
+    ``callbacks`` holds the stage that runs when the record is popped —
+    one of the SSD's callback lists, built once per device — so a
+    command allocates this record and its CQE, and no process,
+    generator, request or timeout.
+    """
+
+    __slots__ = (
+        "qp", "sqe", "nbytes", "is_write", "flush", "status", "span",
+        "tracer", "link_span", "link_left", "on_moved",
+    )
+
+    def __init__(self, qp, sqe, nbytes, is_write, flush, span):
+        self.callbacks = None
+        self._ok = True
+        self._value = None
+        self.qp = qp
+        self.sqe = sqe
+        self.nbytes = nbytes
+        self.is_write = is_write
+        self.flush = flush
+        #: the fault injector's non-zero status for a failed command
+        self.status = 0
+        self.span = span
+
+
 class SSD:
     """One NVMe SSD: queue pairs, timing pipeline and functional store."""
 
@@ -121,8 +161,8 @@ class SSD:
         self.fault_injector = fault_injector
         self.faults_reported = 0
 
-        self._ftl = Resource(env, capacity=1)
-        self._channels = Resource(env, capacity=config.flash_channels)
+        self._ftl = Fifo(env, capacity=1)
+        self._channels = Fifo(env, capacity=config.flash_channels)
         per_channel_read = config.seq_read_bw / config.flash_channels
         per_channel_write = config.seq_write_bw / config.flash_channels
         self._channel_bw = {
@@ -139,6 +179,14 @@ class SSD:
             False: config.media_latency(False),
             True: config.media_latency(True),
         }
+        # the command pipeline's stages, bound once: a _Command waiting
+        # on the heap or in a FIFO carries one of these callback lists
+        self._on_ftl_grant = [self._ftl_granted]
+        self._on_ftl_done = [self._ftl_done]
+        self._on_channel_grant = [self._channel_granted]
+        self._on_channel_done = [self._channel_done]
+        self._after_link = self._moved
+        self._after_traced_link = self._traced_moved
         self._queue_pairs: List[QueuePair] = []
         self._next_qid = 0
 
@@ -166,31 +214,34 @@ class SSD:
 
     # -- device-side processing ----------------------------------------------
     def submit_direct(self, qp: QueuePair, sqe: SQE) -> None:
-        """Hand ``sqe`` straight to the device handler, skipping the SQ ring.
+        """Hand ``sqe`` straight to the device, skipping the SQ ring.
 
-        Used by coalesced submitters: the ring's consumer spawns a handler
-        the same instant the SQE lands anyway (its getter is always parked
-        because handlers are spawned without blocking), so starting the
-        handler here is timing-equivalent and saves the consumer wakeup.
-        The SQE is stamped and ``inflight`` accounted exactly as
-        :meth:`QueuePair.submit` would.
+        Used by coalesced submitters: the ring's consumer starts a command
+        the same instant the SQE lands anyway (its getter is always
+        parked because commands start without blocking), so starting it
+        here is timing-equivalent and saves the consumer wakeup.  The SQE
+        is stamped and ``inflight`` accounted exactly as
+        :meth:`QueuePair.submit` would.  The command runs synchronously
+        up to its first wait; a bad command (an out-of-range LBA) fails
+        as an event, never as an exception into the caller.
         """
-        env = self.env
-        sqe.submit_time = env._now
+        sqe.submit_time = self.env._now
         qp.inflight += 1
-        Process(env, self._handle(qp, sqe))
+        self._start(qp, sqe)
 
     def _consume(self, qp: QueuePair) -> Generator:
-        """Drain a queue pair forever, spawning one handler per command."""
+        """Drain a queue pair forever, starting each command as it lands."""
+        start = self._start
         while True:
             sqe = yield qp.sq.get()
-            self.env.process(self._handle(qp, sqe))
+            start(qp, sqe)
 
-    def _handle(self, qp: QueuePair, sqe: SQE) -> Generator:
-        is_write = sqe.opcode.is_write
-        block_size = self.config.block_size
-        nbytes = sqe.num_blocks * block_size
-        offset = sqe.lba * block_size
+    def _start(self, qp: QueuePair, sqe: SQE) -> None:
+        """Admit ``sqe`` and run its pipeline up to the first wait."""
+        opcode = sqe.opcode
+        is_write = opcode is NVMeOpcode.WRITE
+        flush = opcode is NVMeOpcode.FLUSH
+        nbytes = sqe.num_blocks * self.config.block_size
         tracer = self.env.tracer
         span = None
         if tracer.enabled:
@@ -204,141 +255,186 @@ class SSD:
                 opcode=sqe.opcode.value,
             )
 
-        if sqe.opcode is NVMeOpcode.FLUSH:
-            # a flush drains the device write path: model as one FTL pass
-            with self._ftl.request() as slot:
-                yield slot
-                yield self.env.timeout(self.config.ftl_time(True))
-            if span is not None:
-                tracer.end(span)
-            qp.post_completion(CQE(command_id=sqe.command_id))
-            return
-
-        if self.store is not None:
+        if self.store is not None and not flush:
             # validate range up-front so bad requests fail loudly
-            self.store._check_range(offset, nbytes)
+            try:
+                self.store._check_range(
+                    sqe.lba * self.config.block_size, nbytes
+                )
+            except InvalidLBAError as error:
+                self._fail(error)
+                return
 
         injector = self.fault_injector
         if injector is not None and injector._offline and injector.is_offline(
             self.ssd_id
         ):
-            # the device dropped off the bus: the command is swallowed and
-            # no CQE ever arrives — a completion watchdog
-            # (repro.reliability) is the only way the host learns
+            # the device dropped off the bus: the command — a flush as
+            # much as a read — is swallowed and no CQE ever arrives; a
+            # completion watchdog (repro.reliability) is the only way the
+            # host learns
             injector.offline_drops += 1
             self.faults_reported += 1
             if span is not None:
                 tracer.end(span, offline=True)
             return
 
+        cmd = _Command(qp, sqe, nbytes, is_write, flush, span)
+        if span is not None:
+            cmd.tracer = tracer
+        if flush:
+            # a flush drains the device write path: model as one FTL pass
+            self._media(cmd)
+            return
         if injector is not None and (
             # peek before calling check(): the fault-free hot path must
             # not pay per-request set scans and RNG guards
             injector._one_shot or injector._persistent or injector.error_rate
         ):
-            status = injector.check(
+            # a failed command still costs its media attempt before the
+            # error is reported back
+            cmd.status = injector.check(
                 self.ssd_id, sqe.lba, sqe.num_blocks, is_write
             )
-            if status:
-                # the media attempt still costs time before the error is
-                # reported back
-                yield from self._media(nbytes, is_write=is_write)
-                self.faults_reported += 1
-                if span is not None:
-                    tracer.end(span, status=status)
-                qp.post_completion(
-                    CQE(command_id=sqe.command_id, status=status)
-                )
-                return
-
-        value = None
-        pcie = self.pcie
-        if is_write:
-            # Host/GPU -> SSD data movement first, then media program.
-            if pcie is not None and nbytes:
-                if span is not None:
-                    yield from self._traced_transfer(nbytes, span)
-                else:
-                    # skip the span-wrapper generator when not tracing
-                    yield from pcie.transfer(nbytes)
-            if self.store is not None and sqe.payload is not None:
-                self.store.write(offset, sqe.payload)
-            yield from self._media(nbytes, is_write=True)
+        if is_write and not cmd.status:
+            # host/GPU -> SSD data movement first, then the media program
+            self._transfer(cmd)
         else:
-            yield from self._media(nbytes, is_write=False)
-            if pcie is not None and nbytes:
-                if span is not None:
-                    yield from self._traced_transfer(nbytes, span)
-                else:
-                    yield from pcie.transfer(nbytes)
-            if self.store is not None:
-                data = self.store.read(offset, nbytes)
-                value = self._deliver(sqe, data)
+            self._media(cmd)
 
-        if span is not None:
-            tracer.end(span)
-        latency = self.env.now - sqe.submit_time
-        if is_write:
-            self.writes_completed.add()
-            self.bytes_written.add(nbytes)
-            self.write_latency.record(latency)
-        else:
-            self.reads_completed.add()
-            self.bytes_read.add(nbytes)
-            self.read_latency.record(latency)
-        qp.post_completion(CQE(command_id=sqe.command_id, value=value))
+    # -- pipeline stages ----------------------------------------------------
+    def _media(self, cmd: _Command) -> None:
+        """FTL serialization, then (but for a flush) flash-channel
+        occupancy."""
+        cmd.callbacks = self._on_ftl_grant
+        if self._ftl.acquire(cmd):
+            self._ftl_granted(cmd)
 
-    def _traced_transfer(self, nbytes: int, parent) -> Generator:
-        """The payload's PCIe crossing, wrapped in a span when tracing."""
-        tracer = self.env.tracer
-        span = None
-        if tracer.enabled:
-            span = tracer.begin(
-                "pcie_transfer", parent=parent, ssd=self.ssd_id, bytes=nbytes
-            )
-        yield from self.pcie.transfer(nbytes)
-        if span is not None:
-            tracer.end(span)
-
-    def _media(self, nbytes: int, is_write: bool) -> Generator:
-        """FTL serialization + flash-channel occupancy.
-
-        The two stages hand-inline the ``with resource.request()`` idiom:
-        this is the hottest generator in the simulator, and skipping the
-        context-manager dispatch plus the ``yield`` on an already-granted
-        (born-processed) slot is worth the extra lines.  try/finally keeps
-        the release-on-error guarantee the ``with`` form gave.
-        """
+    def _ftl_granted(self, cmd: _Command) -> None:
         env = self.env
-        ftl = self._ftl
-        slot = ftl.request()
-        try:
-            if slot.callbacks is not None:
-                yield slot
-            yield Timeout(env, self._ftl_time[is_write])
-        finally:
-            ftl.release(slot)
-        channels = self._channels
-        channel = channels.request()
-        try:
-            if channel.callbacks is not None:
-                yield channel
-            transfer = nbytes / self._channel_bw[is_write]
-            # health episodes (GC pauses, thermal throttling) stretch the
-            # media time by the injector's active latency factor; peek at
-            # the episode table first so the fault-free hot path skips
-            # the per-request factor computation entirely
-            injector = self.fault_injector
-            if injector is not None and injector._episodes:
-                factor = injector.latency_factor(self.ssd_id, env.now)
-            else:
-                factor = 1.0
-            yield Timeout(
-                env,
-                (self._media_latency[is_write] + transfer) * factor,
+        cmd.callbacks = self._on_ftl_done
+        env._eid += 1
+        heappush(env._heap, (
+            env._now + self._ftl_time[cmd.is_write or cmd.flush],
+            NORMAL, env._eid, cmd,
+        ))
+
+    def _ftl_done(self, cmd: _Command) -> None:
+        self._ftl.release()
+        if cmd.flush:
+            self._finish(cmd)
+            return
+        cmd.callbacks = self._on_channel_grant
+        if self._channels.acquire(cmd):
+            self._channel_granted(cmd)
+
+    def _channel_granted(self, cmd: _Command) -> None:
+        env = self.env
+        is_write = cmd.is_write
+        transfer = cmd.nbytes / self._channel_bw[is_write]
+        # health episodes (GC pauses, thermal throttling) stretch the
+        # media time by the injector's active latency factor; peek at
+        # the episode table first so the fault-free hot path skips the
+        # per-request factor computation entirely
+        injector = self.fault_injector
+        if injector is not None and injector._episodes:
+            factor = injector.latency_factor(self.ssd_id, env._now)
+        else:
+            factor = 1.0
+        cmd.callbacks = self._on_channel_done
+        env._eid += 1
+        heappush(env._heap, (
+            env._now + (self._media_latency[is_write] + transfer) * factor,
+            NORMAL, env._eid, cmd,
+        ))
+
+    def _channel_done(self, cmd: _Command) -> None:
+        self._channels.release()
+        if cmd.is_write or cmd.status:
+            self._finish(cmd)
+        else:
+            self._transfer(cmd)
+
+    def _transfer(self, cmd: _Command) -> None:
+        """The payload's PCIe crossing (a span of its own when tracing),
+        then :meth:`_moved`."""
+        pcie = self.pcie
+        if pcie is None or not cmd.nbytes:
+            self._moved(cmd)
+            return
+        if cmd.span is None:
+            cmd.on_moved = self._after_link
+        else:
+            cmd.link_span = cmd.tracer.begin(
+                "pcie_transfer", parent=cmd.span, ssd=self.ssd_id,
+                bytes=cmd.nbytes,
             )
-        finally:
-            channels.release(channel)
+            cmd.on_moved = self._after_traced_link
+        pcie.start(cmd, cmd.nbytes)
+
+    def _traced_moved(self, cmd: _Command) -> None:
+        cmd.tracer.end(cmd.link_span)
+        self._moved(cmd)
+
+    def _moved(self, cmd: _Command) -> None:
+        """Functional data movement once the payload has crossed: store
+        a write and go on to the media program, or deliver a read."""
+        store = self.store
+        sqe = cmd.sqe
+        offset = sqe.lba * self.config.block_size
+        if cmd.is_write:
+            if store is not None and sqe.payload is not None:
+                try:
+                    store.write(offset, sqe.payload)
+                except Exception as error:  # noqa: BLE001 - surfaced below
+                    self._fail(error)
+                    return
+            self._media(cmd)
+            return
+        value = None
+        if store is not None:
+            try:
+                value = self._deliver(sqe, store.read(offset, cmd.nbytes))
+            except Exception as error:  # noqa: BLE001 - surfaced below
+                self._fail(error)
+                return
+        self._finish(cmd, value)
+
+    def _finish(self, cmd: _Command, value=None) -> None:
+        """Close the span, account the command and post its CQE."""
+        sqe = cmd.sqe
+        span = cmd.span
+        status = cmd.status
+        if status:
+            self.faults_reported += 1
+            if span is not None:
+                cmd.tracer.end(span, status=status)
+            cmd.qp.post_completion(
+                CQE(command_id=sqe.command_id, status=status)
+            )
+            return
+        if span is not None:
+            cmd.tracer.end(span)
+        if not cmd.flush:
+            latency = self.env._now - sqe.submit_time
+            if cmd.is_write:
+                self.writes_completed.add()
+                self.bytes_written.add(cmd.nbytes)
+                self.write_latency.record(latency)
+            else:
+                self.reads_completed.add()
+                self.bytes_read.add(cmd.nbytes)
+                self.read_latency.record(latency)
+        cmd.qp.post_completion(CQE(command_id=sqe.command_id, value=value))
+
+    def _fail(self, error: Exception) -> None:
+        """Surface ``error`` as a failed same-instant event.
+
+        As with an exception escaping a process, nothing waits on the
+        event, so :meth:`Environment.run` raises ``error``, while the
+        submitter and the queue pair's consumer live on.
+        """
+        Event(self.env).fail(error)
 
     def _deliver(self, sqe: SQE, data: np.ndarray):
         """Place read data into the destination buffer, if one was given."""

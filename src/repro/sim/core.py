@@ -203,8 +203,8 @@ class Process(Event):
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "throw"):
             raise SimulationError(f"{generator!r} is not a generator")
-        # inlined Event.__init__ — one process is spawned per device
-        # command, so this constructor is a per-I/O allocation
+        # inlined Event.__init__ — the fan-out paths spawn one process
+        # per request, so this constructor is a per-I/O allocation
         self.env = env
         self.callbacks = []
         self._value = _PENDING

@@ -15,11 +15,12 @@ more TLP header bytes than a 128 KiB one).
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from heapq import heappush
+from typing import Generator
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment, Timeout
-from repro.sim.resources import Resource
+from repro.sim.core import NORMAL, Environment, Timeout
+from repro.sim.resources import Fifo
 from repro.sim.stats import Counter, TimeWeightedStat
 
 
@@ -69,12 +70,18 @@ class BandwidthLink:
         self.max_payload = max_payload
         self.transaction_bytes = transaction_bytes
         self.chunk_bytes = chunk_bytes
-        self._server = Resource(env, capacity=1)
+        #: one FIFO for both flavours of transfer (:meth:`transfer` and
+        #: :meth:`start`), so they queue behind each other
+        self._server = Fifo(env, capacity=1)
         self.bytes_moved = Counter(env)
         self.busy = TimeWeightedStat(env)
         #: occupancy-time memo keyed by transfer size — workloads use a
         #: handful of distinct sizes but millions of transfers
         self._occupancy_cache: dict = {}
+        # the stages of :meth:`start`, as callback lists built once
+        self._on_setup = [self._acquire]
+        self._on_grant = [self._occupy]
+        self._on_chunk = [self._chunk_done]
 
     def wire_bytes(self, payload_bytes: int) -> float:
         """Bytes that actually cross the wire, including protocol headers."""
@@ -147,6 +154,63 @@ class BandwidthLink:
             if remaining <= 0:
                 break
         return num_bytes
+
+    # -- callback-driven transfers -----------------------------------------
+    def start(self, waiter, num_bytes: int) -> None:
+        """Move ``num_bytes`` for a callback-driven state machine.
+
+        The event-driven twin of :meth:`transfer` (without
+        ``extra_latency``).  ``waiter`` is an event-shaped record (the
+        SSD's in-flight command) that nothing else schedules meanwhile.
+        It is pushed onto the heap for the setup delay, for each hand-off
+        of the link and for each chunk's occupancy — the events
+        :meth:`transfer` schedules, at the same instants and in the same
+        order — with the bytes still to move in ``waiter.link_left``.
+        Once the last chunk has crossed, ``waiter.on_moved(waiter)`` runs
+        in the same callback, where code after ``yield from
+        link.transfer(...)`` would resume.
+        """
+        if num_bytes < 0:
+            raise SimulationError("negative transfer size")
+        waiter.link_left = int(num_bytes)
+        setup = self.overhead_time
+        if setup > 0:
+            waiter.callbacks = self._on_setup
+            env = self.env
+            env._eid += 1
+            heappush(env._heap, (env._now + setup, NORMAL, env._eid, waiter))
+        else:
+            self._acquire(waiter)
+
+    def _acquire(self, waiter) -> None:
+        waiter.callbacks = self._on_grant
+        if self._server.acquire(waiter):
+            self._occupy(waiter)
+
+    def _occupy(self, waiter) -> None:
+        chunk = min(waiter.link_left, self.chunk_bytes)
+        occupancy = self._occupancy_cache.get(chunk)
+        if occupancy is None:
+            occupancy = self.occupancy_time(chunk)
+            self._occupancy_cache[chunk] = occupancy
+        self.busy.record(1.0)
+        waiter.callbacks = self._on_chunk
+        env = self.env
+        env._eid += 1
+        heappush(env._heap, (env._now + occupancy, NORMAL, env._eid, waiter))
+
+    def _chunk_done(self, waiter) -> None:
+        server = self._server
+        if not server._waiters:
+            self.busy.record(0.0)
+        server.release()
+        chunk = min(waiter.link_left, self.chunk_bytes)
+        self.bytes_moved.add(chunk)
+        waiter.link_left -= chunk
+        if waiter.link_left > 0:
+            self._acquire(waiter)
+        else:
+            waiter.on_moved(waiter)
 
     def utilization(self) -> float:
         """Fraction of the observation window the link was busy."""

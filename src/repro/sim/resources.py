@@ -11,6 +11,8 @@
 
 * :class:`PriorityResource` — same, but lower ``priority`` values are granted
   first among waiters.
+* :class:`Fifo` — a lean FIFO server (the SSD's FTL and flash channels,
+  link servers) that also serves callback-driven state machines.
 * :class:`Store` — a FIFO buffer of items with blocking put/get, used for
   queues between producer and consumer processes (e.g. NVMe SQ/CQ rings).
 * :class:`Container` — a continuous quantity (e.g. buffer bytes).
@@ -37,7 +39,7 @@ from collections import deque
 from typing import Any, Callable, Deque, List, Optional
 
 from repro.errors import SimulationError
-from repro.sim.core import Environment, Event, _PENDING
+from repro.sim.core import NORMAL, Environment, Event, _PENDING
 
 
 class Request(Event):
@@ -227,6 +229,91 @@ class PriorityResource(Resource):
                 continue
             users.append(req)
             req.succeed()
+
+
+class Fifo:
+    """A counted FIFO server that keeps a slot count, not a holder list.
+
+    It serves two kinds of waiter from one queue:
+
+    * processes, through :meth:`request` / :meth:`release` — the
+      :class:`Resource` protocol (``with fifo.request() as slot: yield
+      slot``);
+    * callback-driven state machines, through :meth:`acquire`: the
+      waiter is an event-shaped record with its ``callbacks`` already
+      set, and a hand-off schedules the record itself.
+
+    Either way a slot passes to the oldest waiter through one same-instant
+    NORMAL heap event created at release time — where
+    :meth:`Resource.release` schedules its grant — so the simulated
+    timeline is the one a :class:`Resource` would give.  What it drops is
+    a holder list (O(capacity) removal) and a :class:`Request` per
+    callback-driven claim; the price is that a double release is not
+    detected.
+    """
+
+    __slots__ = ("env", "capacity", "busy", "_waiters")
+
+    def __init__(self, env: Environment, capacity: int = 1):
+        if capacity < 1:
+            raise SimulationError(f"capacity must be >= 1, got {capacity}")
+        self.env = env
+        self.capacity = capacity
+        #: slots currently held
+        self.busy = 0
+        self._waiters: Deque[Any] = deque()
+
+    @property
+    def queued(self) -> int:
+        """Number of waiters."""
+        return len(self._waiters)
+
+    def acquire(self, waiter: Any) -> bool:
+        """Take a free slot (True) or queue ``waiter`` for one (False)."""
+        if self.busy < self.capacity and not self._waiters:
+            self.busy += 1
+            return True
+        self._waiters.append(waiter)
+        return False
+
+    def request(self) -> Request:
+        """Claim a slot; yield the returned event to wait for the grant.
+
+        A free slot is granted on the spot as a born-processed event
+        (see :meth:`Resource.request`).
+        """
+        req = Request(self)
+        if self.acquire(req):
+            req._ok = True
+            req._value = None
+            req.callbacks = None
+        return req
+
+    def release(self, request: Optional[Request] = None) -> None:
+        """Give back a slot, handing it to the oldest waiter if any.
+
+        Releasing a :meth:`request` that was never granted withdraws it
+        instead.
+        """
+        if request is not None and request._value is _PENDING:
+            self._cancel(request)
+            return
+        waiters = self._waiters
+        if not waiters:
+            self.busy -= 1
+            return
+        waiter = waiters.popleft()
+        waiter._ok = True
+        waiter._value = None
+        env = self.env
+        env._eid += 1
+        heapq.heappush(env._heap, (env._now, NORMAL, env._eid, waiter))
+
+    def _cancel(self, request: Request) -> None:
+        try:
+            self._waiters.remove(request)
+        except ValueError:
+            pass
 
 
 class StorePut(Event):

@@ -89,6 +89,22 @@ def test_flush_command_completes():
     assert platform.env.run(platform.env.process(proc())).ok
 
 
+def test_offline_device_swallows_flush_like_a_read():
+    """An SSD off the bus answers no opcode: a FLUSH gets no CQE either."""
+    injector = FaultInjector()
+    platform = _platform(injector=injector)
+    ssd = platform.ssds[0]
+    qp = ssd.create_queue_pair()
+    injector.set_offline(0)
+    for opcode in (NVMeOpcode.FLUSH, NVMeOpcode.READ):
+        qp.try_submit(SQE(opcode, lba=0, num_blocks=8))
+    platform.env.run(until=1e-3)
+    assert qp.cq_occupancy == 0
+    assert qp.inflight == 2
+    assert injector.offline_drops == 2
+    assert ssd.faults_reported == 2
+
+
 def test_posix_raises_like_failed_pread():
     injector = FaultInjector()
     injector.inject_lba(0, 0)

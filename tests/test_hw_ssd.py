@@ -180,6 +180,30 @@ def test_read_out_of_range_lba_fails_loudly():
         env.run()
 
 
+@pytest.mark.parametrize("direct", [False, True])
+def test_out_of_range_lba_fails_without_killing_the_queue_pair(direct):
+    """The bad command surfaces from ``env.run()`` as a failed event, not
+    as an exception into the submitter or the ring's consumer: resumed,
+    the run completes the next command on the same queue pair."""
+    env = Environment()
+    config = SSDConfig()
+    ssd = SSD(env, config, pcie=None)
+    qp = ssd.create_queue_pair()
+    bad_lba = config.capacity_bytes // config.block_size
+    bad = SQE(NVMeOpcode.READ, lba=bad_lba, num_blocks=8)
+    good = SQE(NVMeOpcode.READ, lba=0, num_blocks=8)
+    for sqe in (bad, good):
+        if direct:
+            ssd.submit_direct(qp, sqe)
+        else:
+            qp.try_submit(sqe)
+    with pytest.raises(InvalidLBAError):
+        env.run()
+    env.run()
+    assert [cqe.command_id for cqe in qp.cq.items] == [good.command_id]
+    assert ssd.reads_completed.total == 1
+
+
 def test_stats_counters_track_requests():
     env = Environment()
     ssd = _make_ssd(env, functional=False)
