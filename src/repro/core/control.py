@@ -14,7 +14,9 @@ NVMes" (Fig. 12) happens.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Generator, List, Optional
+from heapq import heappush
+from operator import itemgetter
+from typing import Generator, Optional
 
 import numpy as np
 
@@ -30,7 +32,7 @@ from repro.errors import (
 )
 from repro.hw.platform import Platform
 from repro.obs.causal import mint_context
-from repro.sim.core import Environment, Event
+from repro.sim.core import NORMAL, Event
 from repro.sim.resources import Store
 from repro.sim.stats import Counter, LatencyStat
 from repro.spdk.driver import SpdkDriver
@@ -55,6 +57,8 @@ class BatchRequest:
     #: True when the manager minted the context itself at ``ring`` (the
     #: raw entry point) and therefore owns finishing it
     context_owned: bool = False
+    #: ``(ssd_indexes, local_lbas)`` of every request, set by ``ring``
+    located: tuple = field(default=None, init=False, repr=False)
 
     @property
     def request_count(self) -> int:
@@ -153,10 +157,22 @@ class CamManager:
         With an admission controller attached, a batch that would push
         the manager past its in-flight bounds is shed here —
         synchronously, before the doorbell is even recorded — with a
-        typed :class:`~repro.errors.OverloadError`.
+        typed :class:`~repro.errors.OverloadError`.  An empty batch, one
+        with a negative LBA, or one whose payload list does not match
+        its LBA count is rejected before that with
+        :class:`~repro.errors.APIUsageError`.
         """
         if batch.request_count == 0:
             raise APIUsageError("empty batch")
+        if (
+            batch.payloads is not None
+            and len(batch.payloads) != batch.request_count
+        ):
+            raise APIUsageError("payloads must match the LBA array length")
+        try:
+            batch.located = self.platform.locate_lbas(batch.lbas)
+        except ConfigurationError as error:
+            raise APIUsageError(f"bad batch: {error}") from None
         if self.admission is not None:
             self.admission.admit(batch.request_count, batch.total_bytes)
         if batch.done is None:
@@ -190,34 +206,69 @@ class CamManager:
         return batch.done
 
     def _poll_loop(self) -> Generator:
+        env = self.env
+        inbox = self._inbox
+        #: the batch whose poll delay just ended.  It starts once the
+        #: poller next blocks, so that the next batch's poll timer and
+        #: span are created before anything the started batch creates
+        polled = None
         while True:
-            batch = yield self._inbox.get()
+            get = inbox.get()
+            if polled is not None and get.callbacks is not None:
+                self._start(polled)
+                polled = None
+            batch = yield get
             # the poller notices the doorbell after (on average) half a
             # poll interval, then marshals the batch arguments
-            tracer = self.env.tracer
+            tracer = env.tracer
             poll_span = (
                 tracer.begin("doorbell_poll", parent=batch.trace_span)
                 if tracer.enabled
                 else None
             )
-            yield self.env.timeout(
+            delay = env.timeout(
                 self.config.poll_interval / 2 + self.config.batch_setup_time
             )
+            if polled is not None:
+                self._start(polled)
+            yield delay
             if poll_span is not None:
                 tracer.end(poll_span)
-            # batches proceed concurrently (e.g. a read batch overlapping
-            # a write-back batch); per-reactor CPU contention still
-            # serializes the actual submission work
+            polled = batch
+
+    def _start(self, batch: BatchRequest) -> None:
+        """Start a polled batch.
+
+        Batches proceed concurrently (e.g. a read batch overlapping a
+        write-back batch); per-reactor CPU contention still serializes
+        the actual submission work.  A fail-fast coalesced batch is a
+        :class:`_BatchRun` record driven by heap callbacks; a batch with
+        a reliability bundle, or on the fan-out path, is a
+        :meth:`_handle_batch` process.
+        """
+        if self.reliability is not None or not self.coalesce:
             self.env.process(self._handle_batch(batch))
+            return
+        try:
+            _advance(_BatchRun(self, batch))
+        except Exception as error:  # noqa: BLE001 - surfaced below
+            # what the batch raised surfaces from env.run, as when a
+            # handler process died; the poller lives on
+            Event(self.env).fail(error)
 
     def _handle_batch(self, batch: BatchRequest) -> Generator:
         try:
             failures = yield from self._process_batch(batch)
         finally:
-            if self.admission is not None:
-                self.admission.release(
-                    batch.request_count, batch.total_bytes
-                )
+            self._release(batch)
+        self._complete(batch, failures)
+
+    def _release(self, batch: BatchRequest) -> None:
+        if self.admission is not None:
+            self.admission.release(batch.request_count, batch.total_bytes)
+
+    def _complete(self, batch: BatchRequest, failures: list) -> None:
+        """The batch tail: counters, metrics, spans, region 4, ``done``."""
         # one definition of batch I/O time everywhere: doorbell ring to
         # completion, as the GPU observes it (includes the poll delay)
         io_time = self.env.now - batch.submit_time
@@ -307,119 +358,52 @@ class CamManager:
             attempts=attempts,
         )
 
-    def _process_batch(self, batch: BatchRequest) -> Generator:
-        """Submit the batch and wait for every CQE.
-
-        The coalesced path groups the batch per owning reactor and walks
-        each group inside one generator
-        (:meth:`~repro.spdk.driver.SpdkDriver.io_batch` or its
-        reliability-aware sibling
-        :meth:`~repro.spdk.driver.SpdkDriver.io_batch_reliable`); the
-        fan-out path spawns one process per request.  Both produce
-        identical simulated timestamps — the differential tests in
-        ``tests/test_coalesced_differential.py`` and
-        ``tests/test_reliable_coalesced_differential.py`` pin that down.
+    def _slice_limit(self) -> Optional[int]:
+        """Requests per slice, or ``None`` for the whole batch at once.
 
         In degraded mode (admission controller past its high-water mark,
-        or an open circuit breaker) the batch is processed in slices of
+        or an open circuit breaker) a batch is processed in slices of
         ``admission.batch_limit()`` requests so a struggling backend
         works through smaller units.
         """
-        limit = (
-            self.admission.batch_limit()
-            if self.admission is not None
-            else None
-        )
-        count = batch.request_count
-        if limit is None or limit >= count:
-            if self.coalesce:
-                failures = yield from self._process_batch_coalesced(batch)
-            else:
-                failures = yield from self._process_batch_fanout(batch)
-            return failures
-        failures = []
-        for start in range(0, count, limit):
-            stop = min(start + limit, count)
-            if self.coalesce:
-                part = yield from self._process_batch_coalesced(
-                    batch, start, stop
-                )
-            else:
-                part = yield from self._process_batch_fanout(
-                    batch, start, stop
-                )
-            failures.extend(part)
-        return failures
+        if self.admission is None:
+            return None
+        return self.admission.batch_limit()
 
-    def _payload(self, batch: BatchRequest, index: int):
-        if batch.payloads is not None:
-            return batch.payloads[index]
-        if batch.is_write and batch.dest is not None:
-            # write-back: the data comes from the pinned GPU buffer
-            return batch.dest.read_bytes(
-                index * batch.granularity, batch.granularity
-            )
-        return None
-
-    def _process_batch_coalesced(
-        self,
-        batch: BatchRequest,
-        start: int = 0,
-        stop: Optional[int] = None,
-    ) -> Generator:
-        """Group per reactor (batch order preserved inside each group) and
-        submit each group through one coalesced generator."""
-        driver = self.driver
-        platform = self.platform
-        handles = driver._handles
-        reliable = self.reliability is not None
-        submit = driver.io_batch_reliable if reliable else driver.io_batch
-        # the fail-fast path records the resize epoch the grouping was
-        # computed against, so an elastic remap landing mid-flight drains
-        # the group on its original reactor instead of rejecting it (the
-        # reliable path re-drives re-homed items per-request instead)
-        extra = {} if reliable else {"epoch": driver.resize_epoch}
-        stop = batch.request_count if stop is None else stop
-        groups: dict = {}  # Reactor -> [(index, ssd_index, local_lba, payload)]
-        for index in range(start, stop):
-            lba = batch.lbas[index]
-            ssd, local_lba = platform.ssd_for_lba(int(lba))
-            reactor = handles[ssd.ssd_id].reactor
+    def _group(self, batch: BatchRequest, start: int, stop: int) -> list:
+        """Split ``batch[start:stop]`` per owning reactor, keeping batch
+        order inside each group, as lists of ``(index, ssd_index,
+        local_lba, payload)`` in order of each reactor's first request."""
+        ssd_indexes, local_lbas = batch.located
+        handles = self.driver._handles
+        groups: dict = {}
+        for index, payload in zip(
+            range(start, stop), self._payloads(batch, start, stop)
+        ):
+            ssd_index = ssd_indexes[index]
+            reactor = handles[ssd_index].reactor
             items = groups.get(reactor)
             if items is None:
                 items = groups[reactor] = []
-            items.append(
-                (index, ssd.ssd_id, local_lba, self._payload(batch, index))
-            )
-        grouped = list(groups.values())
-        if len(grouped) == 1:
-            results = yield from submit(
-                grouped[0],
-                batch.granularity,
-                is_write=batch.is_write,
-                target=batch.dest,
-                parent_span=batch.trace_span,
-                **extra,
-            )
-        else:
-            procs = [
-                self.env.process(
-                    submit(
-                        items,
-                        batch.granularity,
-                        is_write=batch.is_write,
-                        target=batch.dest,
-                        parent_span=batch.trace_span,
-                        **extra,
-                    )
-                )
-                for items in grouped
+            items.append((index, ssd_index, local_lbas[index], payload))
+        return list(groups.values())
+
+    def _payloads(self, batch: BatchRequest, start: int, stop: int) -> list:
+        """The write data of requests ``start..stop`` (None for reads)."""
+        if batch.payloads is not None:
+            return batch.payloads[start:stop]
+        if batch.is_write and batch.dest is not None:
+            # write-back: the data comes from the pinned GPU buffer
+            granularity = batch.granularity
+            return [
+                batch.dest.read_bytes(index * granularity, granularity)
+                for index in range(start, stop)
             ]
-            done = yield self.env.all_of(procs)
-            results = []
-            for proc in procs:
-                results.extend(done[proc])
-            results.sort(key=lambda pair: pair[0])
+        return [None] * (stop - start)
+
+    def _failures(self, batch: BatchRequest, results) -> list:
+        """The ``(lba, status, attempts, error)`` records of the failed
+        requests among ``(index, outcome)`` results, in result order."""
         failures = []
         for index, outcome in results:
             if isinstance(outcome, DeviceError):
@@ -444,45 +428,69 @@ class CamManager:
                 )
         return failures
 
-    def _process_batch_fanout(
-        self,
-        batch: BatchRequest,
-        start: int = 0,
-        stop: Optional[int] = None,
-    ) -> Generator:
-        """Fan the batch out over the SSDs and wait for every CQE."""
-        stop = batch.request_count if stop is None else stop
-        children = []
-        indexes = range(start, stop)
-        for index in indexes:
-            children.append(
-                self.env.process(
-                    self._request(batch, index, self._payload(batch, index))
-                )
-            )
-        results = yield self.env.all_of(children)
+    def _process_batch(self, batch: BatchRequest) -> Generator:
+        """Submit a batch on the generator path and wait for every CQE.
+
+        With a reliability bundle the batch is grouped per owning
+        reactor and each group walks through
+        :meth:`~repro.spdk.driver.SpdkDriver.io_batch_reliable`; the
+        fan-out path (``coalesce=False``) spawns one process per
+        request.  Both produce identical simulated timestamps — the
+        differential tests in ``tests/test_coalesced_differential.py``
+        and ``tests/test_reliable_coalesced_differential.py`` pin that
+        down.
+        """
+        count = batch.request_count
+        step = self._slice_limit() or count
         failures = []
-        for index, child in zip(indexes, children):
-            outcome = results[child]
-            if isinstance(outcome, DeviceError):
-                failures.append(
-                    (
-                        int(batch.lbas[index]),
-                        getattr(outcome, "status", None) or 0,
-                        getattr(outcome, "attempts", 1),
-                        outcome,
-                    )
-                )
-            elif outcome is not None and not outcome.ok:
-                failures.append(
-                    (
-                        int(batch.lbas[index]),
-                        outcome.status,
-                        outcome.attempts,
-                        None,
-                    )
-                )
+        for start in range(0, count, step):
+            stop = min(start + step, count)
+            if self.coalesce:
+                results = yield from self._walk_reliable(batch, start, stop)
+            else:
+                results = yield from self._fan_out(batch, start, stop)
+            failures.extend(self._failures(batch, results))
         return failures
+
+    def _walk_reliable(
+        self, batch: BatchRequest, start: int, stop: int
+    ) -> Generator:
+        """Walk each reactor's group of one slice in its own process."""
+        walks = [
+            self.driver.io_batch_reliable(
+                items,
+                batch.granularity,
+                is_write=batch.is_write,
+                target=batch.dest,
+                parent_span=batch.trace_span,
+            )
+            for items in self._group(batch, start, stop)
+        ]
+        if len(walks) == 1:
+            return (yield from walks[0])
+        procs = [self.env.process(walk) for walk in walks]
+        done = yield self.env.all_of(procs)
+        results = []
+        for proc in procs:
+            results.extend(done[proc])
+        results.sort(key=_by_index)
+        return results
+
+    def _fan_out(
+        self, batch: BatchRequest, start: int, stop: int
+    ) -> Generator:
+        """One process per request of one slice."""
+        indexes = range(start, stop)
+        children = [
+            self.env.process(self._request(batch, index, payload))
+            for index, payload in zip(
+                indexes, self._payloads(batch, start, stop)
+            )
+        ]
+        done = yield self.env.all_of(children)
+        return [
+            (index, done[child]) for index, child in zip(indexes, children)
+        ]
 
     def _request(self, batch: BatchRequest, index: int, payload) -> Generator:
         """One fan-out request; typed device errors (watchdog timeouts)
@@ -533,3 +541,152 @@ class CamManager:
             )
         self._busy_mark = (now, marks)
         return fractions
+
+
+# -- the fail-fast batch record ----------------------------------------------
+
+_by_index = itemgetter(0)
+
+
+class _BatchRun(Event):
+    """One fail-fast coalesced batch in flight, advanced by heap callbacks.
+
+    It starts in the poller.  Each admission slice is grouped per
+    reactor and each group walked by
+    :meth:`~repro.spdk.driver.SpdkDriver.walk`.  A slice with one group
+    goes on in the callback where its walk ends.  With several groups
+    each walk ends with a same-instant hop, and the last hop puts this
+    record on the heap as the join, so the slice's tail runs after the
+    other events of that instant that were already queued.  Walks hand
+    their outcomes over when they end; the record never references a
+    walk.  ``docs/PERFORMANCE.md`` §2 lists the events this keeps.
+    """
+
+    __slots__ = (
+        "manager", "batch", "limit", "start", "results", "failures",
+        "pending", "advancing",
+    )
+
+    def __init__(self, manager: CamManager, batch: BatchRequest):
+        self.env = manager.env
+        self.callbacks = None
+        self._ok = True
+        self._value = None
+        self._defused = False
+        self.manager = manager
+        self.batch = batch
+        self.limit = manager._slice_limit()
+        #: first request of the next slice
+        self.start = 0
+        #: outcomes of the walks of a multi-reactor slice, as they end
+        self.results = []
+        self.failures = []
+        #: walks of the current slice still running
+        self.pending = 0
+        #: True while :func:`_advance` is starting a slice
+        self.advancing = False
+
+
+def _advance(run: _BatchRun) -> None:
+    """Start the batch's next slice, or finish the batch.
+
+    Slices whose single walk ends at once (a crashed reactor) are
+    consumed in this loop rather than by recursion.
+    """
+    manager = run.manager
+    batch = run.batch
+    driver = manager.driver
+    count = batch.request_count
+    run.advancing = True
+    try:
+        while run.start < count:
+            start = run.start
+            stop = count if run.limit is None else min(
+                start + run.limit, count
+            )
+            run.start = stop
+            # the walks record the resize epoch the grouping was computed
+            # against, so an elastic remap landing mid-flight drains a
+            # group on its original reactor instead of rejecting it
+            shared = (
+                batch.granularity, batch.is_write, batch.dest,
+                batch.trace_span, driver.resize_epoch, run,
+            )
+            groups = manager._group(batch, start, stop)
+            if len(groups) == 1:
+                walk = driver.walk(groups[0], *shared, _slice_walked)
+                if walk.results is None:
+                    return
+                continue
+            run.pending = len(groups)
+            for items in groups:
+                driver.walk(items, *shared, _walk_ended)
+            return
+    except BaseException:
+        manager._release(batch)
+        raise
+    finally:
+        run.advancing = False
+    manager._release(batch)
+    manager._complete(batch, run.failures)
+
+
+def _slice_walked(walk) -> None:
+    """``on_done`` of a slice's only walk."""
+    run = walk.owner
+    if walk.error is not None:
+        _walk_failed(run, walk.error)
+        return
+    run.failures.extend(run.manager._failures(run.batch, walk.results))
+    if not run.advancing:
+        _advance(run)
+
+
+def _walk_ended(walk) -> None:
+    """``on_done`` of a walk in a multi-reactor slice: schedule the
+    walk-end hop."""
+    if walk.error is not None:
+        _walk_failed(walk.owner, walk.error)
+        return
+    walk.callbacks = _ON_WALK_END
+    env = walk.env
+    env._eid += 1
+    heappush(env._heap, (env._now, NORMAL, env._eid, walk))
+
+
+def _walk_failed(run: _BatchRun, error) -> None:
+    """A walk of the batch found its group malformed.  As when a
+    handler process died: the admission claim goes back, the error
+    surfaces from ``env.run``, and the batch never completes (the
+    failed walk never counts down ``pending``, so no join fires)."""
+    if run.failures is None:
+        return
+    run.failures = None
+    run.manager._release(run.batch)
+    Event(run.env).fail(error)
+
+
+def _walk_joined(walk) -> None:
+    """Heap callback: a walk-end hop; the last one schedules the join."""
+    run = walk.owner
+    run.results.extend(walk.results)
+    run.pending -= 1
+    if not run.pending:
+        run.callbacks = _ON_JOIN
+        env = run.env
+        env._eid += 1
+        heappush(env._heap, (env._now, NORMAL, env._eid, run))
+
+
+def _slice_joined(run: _BatchRun) -> None:
+    """Heap callback: every walk of a multi-reactor slice has ended."""
+    results = run.results
+    run.results = []
+    results.sort(key=_by_index)
+    run.failures.extend(run.manager._failures(run.batch, results))
+    _advance(run)
+
+
+#: the batch record's stage lists (see :class:`_BatchRun`)
+_ON_WALK_END = [_walk_joined]
+_ON_JOIN = [_slice_joined]

@@ -14,7 +14,10 @@ Paper Section III-B:
 The reproduction keeps regions 1-2 *functional* (real numpy arrays, so a
 batch's LBAs round-trip exactly) and models the polling handshakes of
 regions 3-4 with events plus the configured poll-interval delay — the
-cost without the event-storm of literal busy-waiting.
+cost without the event-storm of literal busy-waiting.  The CAM manager
+times the handshakes itself and never waits on the region 3/4 events,
+so each is created only when someone asks for it: a batch nobody
+watches puts no region event on the heap.
 """
 
 from __future__ import annotations
@@ -51,10 +54,12 @@ class SyncRegions:
         self.lba_region = np.zeros(max_requests, dtype=np.int64)
         #: region 2: batch arguments
         self.args: Optional[BatchArgs] = None
-        #: region 3: GPU -> CPU doorbell (event models the polled flag)
-        self._doorbell: Event = env.event()
-        #: region 4: CPU -> GPU completion flag
-        self._completion: Event = env.event()
+        #: region 3: GPU -> CPU doorbell (event models the polled flag),
+        #: created by :meth:`doorbell_event`
+        self._doorbell: Optional[Event] = None
+        #: region 4: CPU -> GPU completion flag, created by
+        #: :meth:`completion_event`
+        self._completion: Optional[Event] = None
         self.batches_rung = 0
 
     # -- GPU side ------------------------------------------------------------
@@ -82,15 +87,23 @@ class SyncRegions:
             )
         self.args = args
         self.batches_rung += 1
-        self._doorbell.succeed(args)
+        if self._doorbell is not None:
+            self._doorbell.succeed(args)
 
     def completion_event(self) -> Event:
         """Region 4, as the event the GPU-side synchronize waits on."""
+        if self._completion is None:
+            self._completion = self.env.event()
         return self._completion
 
     # -- CPU side ------------------------------------------------------------
     def doorbell_event(self) -> Event:
-        """Region 3, as the event the CPU poller waits on."""
+        """Region 3, as the event the CPU poller waits on; it fires when
+        the doorbell is rung (at once if it already was)."""
+        if self._doorbell is None:
+            self._doorbell = self.env.event()
+            if self.args is not None:
+                self._doorbell.succeed(self.args)
         return self._doorbell
 
     def take_batch(self) -> tuple:
@@ -106,6 +119,7 @@ class SyncRegions:
         if self.args is None:
             raise APIUsageError("completing a batch that was never rung")
         self.args = None
-        completion, self._completion = self._completion, self.env.event()
-        self._doorbell = self.env.event()
-        completion.succeed()
+        completion, self._completion = self._completion, None
+        self._doorbell = None
+        if completion is not None:
+            completion.succeed()

@@ -51,7 +51,10 @@ class CycleAccountant:
     requests: int = 0
 
     def charge(self, category: str, instructions: float, ipc: float) -> None:
-        self.samples.setdefault(category, CostSample()).add(instructions, ipc)
+        sample = self.samples.get(category)
+        if sample is None:
+            sample = self.samples[category] = CostSample()
+        sample.add(instructions, ipc)
 
     def complete_request(self, count: int = 1) -> None:
         self.requests += count

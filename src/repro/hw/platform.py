@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from repro.config import DEFAULT_PLATFORM, PlatformConfig
 from repro.errors import ConfigurationError
 from repro.hw.cpu import CPU
@@ -95,14 +97,28 @@ class Platform:
         ``stripe_blocks`` is the stripe unit in blocks; defaults to the
         platform's :attr:`stripe_blocks`.
         """
-        if global_lba < 0:
-            raise ConfigurationError(f"negative LBA {global_lba}")
-        if stripe_blocks is None:
-            stripe_blocks = self.stripe_blocks
-        stripe, offset = divmod(global_lba, stripe_blocks)
-        ssd_index = stripe % self.num_ssds
-        local_stripe = stripe // self.num_ssds
-        return self.ssds[ssd_index], local_stripe * stripe_blocks + offset
+        ssd_index, local_lba = _stripe(
+            global_lba,
+            self.stripe_blocks if stripe_blocks is None else stripe_blocks,
+            self.num_ssds,
+        )
+        return self.ssds[ssd_index], local_lba
+
+    def locate_lbas(self, lbas) -> tuple:
+        """:meth:`ssd_for_lba` for a whole batch of global LBAs at once.
+
+        Returns ``(ssd_indexes, local_lbas)``: two lists of Python ints,
+        one entry per LBA, striped with the platform's stripe unit.
+        """
+        stripe_blocks = self.stripe_blocks
+        num_ssds = self.num_ssds
+        ssd_indexes = []
+        local_lbas = []
+        for lba in np.asarray(lbas, dtype=np.int64).tolist():
+            ssd_index, local_lba = _stripe(lba, stripe_blocks, num_ssds)
+            ssd_indexes.append(ssd_index)
+            local_lbas.append(local_lba)
+        return ssd_indexes, local_lbas
 
     def reset_stats(self) -> None:
         """Restart all throughput/utilization observation windows."""
@@ -123,3 +139,12 @@ class Platform:
             f"<Platform {self.config.gpu.name}, {self.num_ssds}x SSD, "
             f"{self.config.cpu.cores} cores>"
         )
+
+
+def _stripe(global_lba: int, stripe_blocks: int, num_ssds: int) -> tuple:
+    """The RAID0 rule: ``(ssd_index, local_lba)`` of one global LBA."""
+    if global_lba < 0:
+        raise ConfigurationError(f"negative LBA {global_lba}")
+    stripe, offset = divmod(global_lba, stripe_blocks)
+    local_stripe, ssd_index = divmod(stripe, num_ssds)
+    return ssd_index, local_stripe * stripe_blocks + offset

@@ -513,16 +513,44 @@ class Metrics:
                  "(exemplars carry the worst request's trace_id)",
             unit="seconds", labels=("kind",),
         )
+        #: bound children of the per-batch and per-group families,
+        #: keyed by ``op`` and by reactor id (see :meth:`_bound`)
+        self._batch_children: Dict[str, tuple] = {}
+        self._group_children: Dict[int, tuple] = {}
+
+    @staticmethod
+    def _bound(cache: dict, value, *families: Family) -> tuple:
+        """The children of ``families`` for label ``value``, memoised.
+
+        A child that collapsed into the ``_overflow`` series is returned
+        but not memoised, so every later push still goes through
+        :meth:`Family.labels` and is counted in ``dropped_series``.
+        """
+        dropped = [family.dropped_series for family in families]
+        children = tuple(family.labels(value) for family in families)
+        if all(
+            family.dropped_series == before
+            for family, before in zip(families, dropped)
+        ):
+            cache[value] = children
+        return children
 
     # -- push helpers (hot path; callers guard with ``if enabled``) -----
     def batch_done(
         self, op: str, latency: float, requests: int, nbytes: int,
         failures: int, trace_id: Optional[int] = None,
     ) -> None:
-        self.batch_latency.labels(op).observe(latency, trace_id=trace_id)
-        self.batches.labels(op).inc()
-        self.requests.labels(op).inc(requests)
-        self.bytes.labels(op).inc(nbytes)
+        children = self._batch_children.get(op)
+        if children is None:
+            children = self._bound(
+                self._batch_children, op, self.batch_latency,
+                self.batches, self.requests, self.bytes,
+            )
+        latency_child, batches, requests_child, bytes_child = children
+        latency_child.observe(latency, trace_id=trace_id)
+        batches.inc()
+        requests_child.inc(requests)
+        bytes_child.inc(nbytes)
         if failures:
             self.batch_failures.child().inc(failures)
 
@@ -535,8 +563,15 @@ class Metrics:
         )
 
     def coalesced_group(self, reactor_id: int, submitted: int) -> None:
-        self.coalesced_groups.labels(reactor_id).inc()
-        self.coalesced_requests.labels(reactor_id).inc(submitted)
+        children = self._group_children.get(reactor_id)
+        if children is None:
+            children = self._bound(
+                self._group_children, reactor_id, self.coalesced_groups,
+                self.coalesced_requests,
+            )
+        groups, requests = children
+        groups.inc()
+        requests.inc(submitted)
 
     def redrive(self, count: int = 1) -> None:
         self.redrives.child().inc(count)

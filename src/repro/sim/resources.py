@@ -105,6 +105,23 @@ class Resource:
             self._queue.append(req)
         return req
 
+    def acquire(self, waiter: Event) -> bool:
+        """Claim a slot for a callback-driven state machine.
+
+        ``waiter`` is an event-shaped record that holds the slot itself,
+        so it is what :meth:`release` takes back.  Returns True when a
+        free slot is taken on the spot, as :meth:`request` grants one.
+        Otherwise ``waiter`` queues like a :class:`Request`, and must be
+        untriggered while it waits: it is succeeded when the slot is
+        handed over (or failed, e.g. by a crashing reactor), which puts
+        the record itself on the heap.
+        """
+        if not self._queue and len(self._users) < self.capacity:
+            self._users.append(waiter)
+            return True
+        self._queue.append(waiter)
+        return False
+
     def release(self, request: Request) -> None:
         """Give back a previously granted slot.
 
@@ -175,6 +192,11 @@ class PriorityResource(Resource):
     @property
     def queued(self) -> int:
         return len(self._pqueue) - self._stale
+
+    def acquire(self, waiter: Event) -> bool:
+        raise SimulationError(
+            "a PriorityResource grants slots through request(priority) only"
+        )
 
     def request(self, priority: float = 0.0) -> PriorityRequest:
         req = PriorityRequest(self, priority)

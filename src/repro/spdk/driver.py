@@ -11,6 +11,8 @@ reactor, so no lock is needed in the model either.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappush
+from operator import itemgetter
 from typing import Generator, List, Optional
 
 from repro.config import SPDKConfig
@@ -24,7 +26,7 @@ from repro.errors import (
 from repro.hw.nvme import SQE, NVMeOpcode
 from repro.hw.platform import Platform
 from repro.oskernel.blockio import CompletionDispatcher
-from repro.sim.core import Timeout
+from repro.sim.core import _PENDING, NORMAL, Event, Timeout
 from repro.sim.stats import Counter
 from repro.spdk.reactor import Reactor, ReactorPool, ReactorSupervisor
 
@@ -92,6 +94,8 @@ class SpdkDriver:
         #: group (still a ConfigurationError)
         self.resize_epoch = 0
         self.supervisor: Optional[ReactorSupervisor] = None
+        #: (granularity, is_write) -> per-request constants, see _shape
+        self._shapes: dict = {}
         self._install_reactor_faults()
 
     @property
@@ -421,8 +425,11 @@ class SpdkDriver:
         mixed group with no intervening remap is a caller bug and still
         raises :class:`~repro.errors.ConfigurationError`.
 
-        Only valid without a reliability bundle — per-request retries and
-        watchdog deadlines ride :meth:`io_batch_reliable` instead.
+        The walk itself is :meth:`walk`'s heap-callback record; this
+        generator only waits for it, and resumes at the heap pop where
+        the walk ends.  Only valid without a reliability bundle —
+        per-request retries and watchdog deadlines ride
+        :meth:`io_batch_reliable` instead.
         """
         if self.reliability is not None:
             raise ConfigurationError(
@@ -431,127 +438,58 @@ class SpdkDriver:
             )
         if not items:
             return []
-        if epoch is None:
-            epoch = self.resize_epoch
-        block_size = self.platform.config.ssd.block_size
-        num_blocks = max(1, -(-granularity // block_size))
-        poll_iterations = self._poll_iterations(is_write)
-        opcode = NVMeOpcode.WRITE if is_write else NVMeOpcode.READ
-        handles = self._handles
-        ssds = self.platform.ssds
-        reactor = handles[items[0][1]].reactor
-        env = self.env
-        tracer = env.tracer
-        groups = {}  # ssd_index -> CompletionGroup
-        owners = {}  # command_id -> orig_index
+        done = Event(self.env)
+        walk = self.walk(
+            items, granularity, is_write, target, parent_span,
+            self.resize_epoch if epoch is None else epoch,
+            done, _resume_waiter,
+        )
+        if walk.results is None:
+            yield done
+        return walk.results
 
-        per_request_cpu = self.config.per_request_cpu
-        tracing = tracer.enabled
-        submitted = 0
-        # Manual request lifecycle (not ``with``): a crash may fail our
-        # queued slot request, and the context manager's release on a
-        # triggered-but-never-granted request raises double-release.
-        slot = reactor._serial.request()
-        granted = False
-        try:
-            try:
-                yield slot
-                granted = True
-            except ReactorOfflineError:
-                pass  # every item becomes a typed outcome below
-            if granted:
-                for orig_index, ssd_index, local_lba, payload in items:
-                    if reactor.crashed:
-                        break
-                    handle = handles[ssd_index]
-                    if handle.reactor is not reactor:
-                        if self.resize_epoch == epoch:
-                            raise ConfigurationError(
-                                f"io_batch group mixes reactors: SSD "
-                                f"{ssd_index} is owned by reactor "
-                                f"{handle.reactor.reactor_id}, group "
-                                f"started on {reactor.reactor_id}"
-                            )
-                        # a remap re-homed this SSD after the group was
-                        # formed: keep draining on the original reactor
-                        # (queue pair and dispatcher never move)
-                    span = None
-                    if tracing:
-                        span = tracer.begin(
-                            "submit",
-                            parent=parent_span,
-                            reactor=reactor.reactor_id,
-                        )
-                    yield Timeout(env, per_request_cpu)
-                    reactor.busy_seconds += per_request_cpu
-                    if tracing:
-                        # per-request spans keep the fig03/fig13
-                        # breakdowns intact; the bulk accounting below
-                        # covers the instruction/cycle charges when
-                        # tracing is off
-                        cost = reactor.account_request(
-                            poll_iterations=poll_iterations
-                        )
-                        span.tags["ssd"] = ssd_index
-                        span.tags["is_write"] = is_write
-                        span.tags.update(cost)
-                        tracer.end(span)
-                    sqe = SQE(
-                        opcode=opcode,
-                        lba=local_lba,
-                        num_blocks=num_blocks,
-                        payload=payload,
-                        target=target,
-                        target_offset=orig_index * granularity,
-                        trace_span=parent_span,
-                    )
-                    group = groups.get(ssd_index)
-                    if group is None:
-                        group = handle.dispatcher.open_group()
-                        groups[ssd_index] = group
-                    handle.dispatcher.expect(group, sqe.command_id)
-                    owners[sqe.command_id] = orig_index
-                    # ring bypass: the SQ consumer would spawn the
-                    # handler at this same instant anyway; hand the SQE
-                    # to the device directly and skip the ring hop
-                    ssds[ssd_index].submit_direct(handle.queue_pair, sqe)
-                    submitted += 1
-        finally:
-            if granted:
-                reactor._serial.release(slot)
-            elif not slot.triggered:
-                slot.cancel()
-        reactor.requests.add(submitted)
-        if not tracing and submitted:
-            reactor.account_batch(
-                submitted, poll_iterations=poll_iterations
+    def walk(
+        self, items, granularity: int, is_write: bool, target,
+        parent_span, epoch: int, owner, on_done,
+    ) -> "_Walk":
+        """Start the coalesced walk of one reactor's group (see
+        :meth:`io_batch` for ``items`` and ``epoch``).
+
+        The walk runs up to its first wait and returns its record.  Once
+        every completion is in, ``record.results`` holds the sorted
+        ``(orig_index, outcome)`` list and ``on_done(record)`` runs —
+        inside this call when nothing had to wait (a crashed reactor),
+        else in the heap callback where the last completion pops.  A
+        group that mixes reactors with no remap since ``epoch`` ends the
+        walk early instead: ``record.error`` holds the
+        :class:`~repro.errors.ConfigurationError`, ``record.results``
+        stays None, and ``on_done(record)`` runs at once.  ``owner``
+        rides along on ``record.owner`` for ``on_done``.
+        """
+        walk = _Walk(
+            self, items, granularity, is_write, target, parent_span,
+            epoch, owner, on_done,
+        )
+        if walk.reactor._serial.acquire(walk):
+            _walk_step(walk)
+        else:
+            walk._value = _PENDING
+            walk._ok = None
+            walk.callbacks = _ON_GRANT
+        return walk
+
+    def _shape(self, granularity: int, is_write: bool) -> tuple:
+        """``(opcode, num_blocks, poll_iterations)`` of one request."""
+        key = (granularity, is_write)
+        shape = self._shapes.get(key)
+        if shape is None:
+            block_size = self.platform.config.ssd.block_size
+            shape = self._shapes[key] = (
+                NVMeOpcode.WRITE if is_write else NVMeOpcode.READ,
+                max(1, -(-granularity // block_size)),
+                self._poll_iterations(is_write),
             )
-        metrics = env.metrics
-        if metrics.enabled and submitted:
-            metrics.coalesced_group(reactor.reactor_id, submitted)
-
-        results = []
-        for ssd_index, group in groups.items():
-            handles[ssd_index].dispatcher.seal(group)
-        for group in groups.values():
-            cqes = yield group.event
-            for command_id, cqe in cqes.items():
-                results.append((owners[command_id], cqe))
-        for orig_index, ssd_index, local_lba, payload in items[submitted:]:
-            results.append((
-                orig_index,
-                ReactorOfflineError(
-                    f"reactor {reactor.reactor_id} crashed before "
-                    f"submitting ssd {ssd_index} lba {local_lba}",
-                    reactor_id=reactor.reactor_id,
-                    ssd_id=ssd_index,
-                    lba=local_lba,
-                ),
-            ))
-        self.requests_done.add(submitted)
-        self.bytes_done.add(submitted * granularity)
-        results.sort(key=lambda pair: pair[0])
-        return results
+        return shape
 
     def io_batch_reliable(
         self,
@@ -590,10 +528,9 @@ class SpdkDriver:
         if not items:
             return []
         env = self.env
-        block_size = self.platform.config.ssd.block_size
-        num_blocks = max(1, -(-granularity // block_size))
-        poll_iterations = self._poll_iterations(is_write)
-        opcode = NVMeOpcode.WRITE if is_write else NVMeOpcode.READ
+        opcode, num_blocks, poll_iterations = self._shape(
+            granularity, is_write
+        )
         handles = self._handles
         ssds = self.platform.ssds
         reactor = handles[items[0][1]].reactor
@@ -882,3 +819,246 @@ class SpdkDriver:
         ssd = self.platform.config.ssd
         latency = ssd.media_latency(is_write)
         return max(1.0, min(64.0, latency / 16e-6))
+
+
+# -- the coalesced walk -------------------------------------------------------
+
+_by_index = itemgetter(0)
+
+
+class _Walk(Event):
+    """One reactor's share of a coalesced batch, walked by heap callbacks.
+
+    The record is itself the heap event of every stage the walk waits
+    on: the hand-over of the reactor's serial slot when it is queued,
+    and each request's CPU charge.  Its ``callbacks`` is one of the
+    module's stage lists, which every walk shares and whose functions
+    take the record as argument, so a walk allocates no process,
+    generator, request or timeout, and never references itself.  The
+    per-SSD completion groups stay events of their own, waited on in
+    order.
+    """
+
+    __slots__ = (
+        "driver", "reactor", "items", "position", "charging", "epoch",
+        "granularity", "is_write", "target", "parent_span", "tracer",
+        "span", "shape", "groups", "owners", "collected", "results",
+        "error", "owner", "on_done",
+    )
+
+    def __init__(self, driver, items, granularity, is_write, target,
+                 parent_span, epoch, owner, on_done):
+        env = driver.env
+        self.env = env
+        self.callbacks = None
+        self._ok = True
+        self._value = None
+        self._defused = False
+        self.driver = driver
+        self.reactor = driver._handles[items[0][1]].reactor
+        self.items = items
+        #: index into ``items`` of the next request to submit
+        self.position = 0
+        #: True while the CPU charge of ``items[position]`` is running
+        self.charging = False
+        self.epoch = epoch
+        self.granularity = granularity
+        self.is_write = is_write
+        self.target = target
+        self.parent_span = parent_span
+        tracer = env.tracer
+        self.tracer = tracer if tracer.enabled else None
+        self.span = None
+        self.shape = driver._shape(granularity, is_write)
+        #: ssd_index -> CompletionGroup while submitting; then the
+        #: groups still to wait for, the next one last
+        self.groups = {}
+        self.owners = {}  # command_id -> orig_index
+        self.collected = []
+        #: the sorted ``(orig_index, outcome)`` list, once done
+        self.results = None
+        #: the ConfigurationError of a group that mixes reactors
+        self.error = None
+        self.owner = owner
+        self.on_done = on_done
+
+    def _group_done(self, event: Event) -> None:
+        """Callback of the completion group the walk was waiting on."""
+        _walk_collect(self, event)
+
+
+def _walk_granted(walk: _Walk) -> None:
+    """Heap callback: the queued serial slot was handed over, or a
+    crash refused it (every request then ends offline)."""
+    if walk._ok:
+        _walk_step(walk)
+        return
+    walk._defused = True
+    walk._ok = True
+    walk._value = None
+    _walk_submitted(walk, granted=False)
+
+
+def _walk_step(walk: _Walk) -> None:
+    """Heap callback: advance a walk by one request, in one frame.
+
+    Submits the request whose CPU charge just ended (none at the
+    start), then starts the next request's charge, or closes the
+    submission phase once every request is on the wire or the reactor
+    has crashed.
+    """
+    driver = walk.driver
+    reactor = walk.reactor
+    items = walk.items
+    position = walk.position
+    handles = driver._handles
+    cpu = driver.config.per_request_cpu
+    if walk.charging:
+        orig_index, ssd_index, local_lba, payload = items[position]
+        reactor.busy_seconds += cpu
+        opcode, num_blocks, poll_iterations = walk.shape
+        span = walk.span
+        if span is not None:
+            # per-request spans keep the fig03/fig13 breakdowns intact;
+            # the bulk accounting in _walk_submitted covers the
+            # instruction/cycle charges when tracing is off
+            cost = reactor.account_request(poll_iterations=poll_iterations)
+            span.tags["ssd"] = ssd_index
+            span.tags["is_write"] = walk.is_write
+            span.tags.update(cost)
+            walk.tracer.end(span)
+        sqe = SQE(
+            opcode=opcode,
+            lba=local_lba,
+            num_blocks=num_blocks,
+            payload=payload,
+            target=walk.target,
+            target_offset=orig_index * walk.granularity,
+            trace_span=walk.parent_span,
+        )
+        handle = handles[ssd_index]
+        dispatcher = handle.dispatcher
+        group = walk.groups.get(ssd_index)
+        if group is None:
+            group = walk.groups[ssd_index] = dispatcher.open_group()
+        dispatcher.expect(group, sqe.command_id)
+        walk.owners[sqe.command_id] = orig_index
+        # ring bypass: the SQ consumer would start the command at this
+        # same instant anyway; hand the SQE to the device directly
+        driver.platform.ssds[ssd_index].submit_direct(handle.queue_pair, sqe)
+        position += 1
+        walk.position = position
+    if position == len(items) or reactor.crashed:
+        walk.charging = False
+        _walk_submitted(walk, granted=True)
+        return
+    ssd_index = items[position][1]
+    owner = handles[ssd_index].reactor
+    if owner is not reactor and driver.resize_epoch == walk.epoch:
+        # a remap re-homing an SSD bumps the epoch, and the group then
+        # keeps draining on its original reactor (queue pairs and
+        # dispatchers never move); without one the group is malformed
+        reactor._serial.release(walk)
+        walk.error = ConfigurationError(
+            f"io_batch group mixes reactors: SSD {ssd_index} is owned "
+            f"by reactor {owner.reactor_id}, group started on "
+            f"{reactor.reactor_id}"
+        )
+        walk.on_done(walk)
+        return
+    tracer = walk.tracer
+    if tracer is not None:
+        walk.span = tracer.begin(
+            "submit", parent=walk.parent_span, reactor=reactor.reactor_id
+        )
+    walk.charging = True
+    walk.callbacks = _ON_CHARGED
+    env = walk.env
+    env._eid += 1
+    heappush(env._heap, (env._now + cpu, NORMAL, env._eid, walk))
+
+
+def _walk_submitted(walk: _Walk, granted: bool) -> None:
+    """Close the submission phase: hand the serial slot back, account
+    the group once, seal its completion groups and wait for them."""
+    driver = walk.driver
+    reactor = walk.reactor
+    if granted:
+        reactor._serial.release(walk)
+    submitted = walk.position
+    reactor.requests.add(submitted)
+    if submitted:
+        if walk.tracer is None:
+            reactor.account_batch(
+                submitted, poll_iterations=walk.shape[2]
+            )
+        metrics = driver.env.metrics
+        if metrics.enabled:
+            metrics.coalesced_group(reactor.reactor_id, submitted)
+    groups = walk.groups
+    handles = driver._handles
+    for ssd_index, group in groups.items():
+        handles[ssd_index].dispatcher.seal(group)
+    pending = list(groups.values())
+    pending.reverse()
+    walk.groups = pending
+    _walk_collect(walk)
+
+
+def _walk_collect(walk: _Walk, event: Optional[Event] = None) -> None:
+    """Take the completion groups in order, from ``event`` (the one just
+    popped, if any) on, until one is still pending.
+
+    The record lets go of a group before waiting on it, so the callback
+    it leaves on the group's event is the only link back to it.
+    """
+    pending = walk.groups
+    owners = walk.owners
+    collected = walk.collected
+    while True:
+        if event is not None:
+            for command_id, cqe in event._value.items():
+                collected.append((owners[command_id], cqe))
+        if not pending:
+            break
+        event = pending.pop().event
+        if event.callbacks is not None:
+            event.callbacks.append(walk._group_done)
+            return
+    driver = walk.driver
+    reactor = walk.reactor
+    submitted = walk.position
+    for orig_index, ssd_index, local_lba, _ in walk.items[submitted:]:
+        collected.append((
+            orig_index,
+            ReactorOfflineError(
+                f"reactor {reactor.reactor_id} crashed before "
+                f"submitting ssd {ssd_index} lba {local_lba}",
+                reactor_id=reactor.reactor_id,
+                ssd_id=ssd_index,
+                lba=local_lba,
+            ),
+        ))
+    driver.requests_done.add(submitted)
+    driver.bytes_done.add(submitted * walk.granularity)
+    collected.sort(key=_by_index)
+    walk.results = collected
+    walk.on_done(walk)
+
+
+def _resume_waiter(walk: _Walk) -> None:
+    """``on_done`` of :meth:`SpdkDriver.io_batch`: mark its event
+    processed and resume the waiting generator in this same callback,
+    without a heap hop of its own.  A walk's error is thrown into the
+    generator, where the walk found it."""
+    event = walk.owner
+    callbacks, event.callbacks = event.callbacks, None
+    event._ok = walk.error is None
+    event._value = walk.error
+    for callback in callbacks:
+        callback(event)
+
+
+#: the walk's stage lists (see :class:`_Walk`)
+_ON_GRANT = [_walk_granted]
+_ON_CHARGED = [_walk_step]

@@ -14,7 +14,12 @@ import pytest
 
 from repro.config import PlatformConfig
 from repro.core.control import BatchRequest, CamManager
-from repro.errors import ConfigurationError, OverloadError
+from repro.errors import (
+    AllocationError,
+    APIUsageError,
+    ConfigurationError,
+    OverloadError,
+)
 from repro.hw.platform import Platform
 from repro.reliability import Reliability
 from repro.reliability.admission import AdmissionController
@@ -123,6 +128,132 @@ def test_manager_ring_sheds_synchronously():
     assert admission.inflight_requests == 0
     assert admission.shed_requests.total == 64
     assert platform.env.now == 0.0
+
+
+def test_manager_ring_rejects_negative_lba_before_admission():
+    platform = Platform(PlatformConfig(num_ssds=4), functional=False)
+    admission = AdmissionController(platform.env, max_inflight_requests=64)
+    manager = CamManager(platform, admission=admission)
+    bad = BatchRequest(
+        lbas=np.array([0, 8, -8, 16], dtype=np.int64),
+        granularity=4096, is_write=False,
+    )
+    with pytest.raises(APIUsageError, match="negative LBA -8"):
+        manager.ring(bad)
+    # rejected before admission and before the doorbell was recorded
+    assert admission.inflight_requests == 0
+    assert admission.inflight_bytes == 0
+    assert admission.admitted_requests.total == 0
+    assert bad.done is None
+    good = BatchRequest(
+        lbas=np.arange(8, dtype=np.int64) * 8,
+        granularity=4096, is_write=False,
+    )
+    assert platform.env.run(manager.ring(good)) > 0
+    assert manager.batches_done.total == 1
+    assert admission.inflight_requests == 0
+
+
+@pytest.mark.parametrize("sliced", [False, True])
+@pytest.mark.parametrize("payload_count", [0, 3, 9])
+def test_manager_ring_rejects_mismatched_payloads_before_admission(
+    sliced, payload_count
+):
+    """A payload list shorter or longer than the batch is rejected at
+    ``ring``; it never reaches the walk, which pairs requests with
+    payloads and would drop the unmatched ones."""
+    platform = Platform(PlatformConfig(num_ssds=4), functional=False)
+    # an 8-request batch fills the bound, so with a degraded limit the
+    # batch would be walked in slices of 2
+    admission = AdmissionController(
+        platform.env, max_inflight_requests=8, high_water=0.5,
+        degraded_batch_limit=2 if sliced else None,
+    )
+    manager = CamManager(platform, admission=admission)
+    lbas = np.arange(8, dtype=np.int64) * 8
+    bad = BatchRequest(
+        lbas=lbas, granularity=4096, is_write=True,
+        payloads=[bytes(4096)] * payload_count,
+    )
+    with pytest.raises(APIUsageError, match="payloads must match"):
+        manager.ring(bad)
+    assert admission.inflight_requests == 0
+    assert admission.inflight_bytes == 0
+    assert admission.admitted_requests.total == 0
+    assert bad.done is None
+    good = BatchRequest(
+        lbas=lbas, granularity=4096, is_write=True,
+        payloads=[bytes(4096)] * 8,
+    )
+    assert platform.env.run(manager.ring(good)) > 0
+    assert manager.batches_done.total == 1
+    assert manager.driver.requests_done.total == 8
+    assert admission.inflight_requests == 0
+
+
+def test_batch_raising_at_start_leaves_poller_alive():
+    """A batch whose start raises (here: a write-back source buffer too
+    small for its requests) surfaces the error from ``env.run`` and
+    returns its admission claim; the poller serves the next batch."""
+    platform = Platform(PlatformConfig(num_ssds=4), functional=False)
+    admission = AdmissionController(platform.env, max_inflight_requests=64)
+    manager = CamManager(platform, admission=admission)
+    env = platform.env
+    small = platform.gpu.memory.alloc(4096)
+    bad = BatchRequest(
+        lbas=np.arange(4, dtype=np.int64) * 8,
+        granularity=4096, is_write=True, dest=small,
+    )
+    manager.ring(bad)
+    with pytest.raises(AllocationError):
+        env.run()
+    assert admission.inflight_requests == 0
+    good = BatchRequest(
+        lbas=np.arange(8, dtype=np.int64) * 8,
+        granularity=4096, is_write=False,
+    )
+    assert env.run(manager.ring(good)) > 0
+    assert manager.batches_done.total == 1
+
+
+def test_malformed_walk_fails_its_batch_and_returns_admission():
+    """A walk that finds its group mixing reactors with no remap (an
+    SSD re-homed behind the driver's back) fails its batch as a dying
+    handler process did: the error surfaces from ``env.run``, the
+    admission claim goes back, ``done`` never fires, and the batch's
+    other walk drains without completing it."""
+    platform = Platform(PlatformConfig(num_ssds=4), functional=False)
+    admission = AdmissionController(platform.env, max_inflight_requests=64)
+    manager = CamManager(platform, num_cores=2, admission=admission)
+    env = platform.env
+    handles = manager.driver._handles
+    stripe = platform.stripe_blocks
+    # SSDs 0 and 2 form reactor 0's group, SSD 1 reactor 1's
+    assert handles[0].reactor is handles[2].reactor
+    assert handles[1].reactor is not handles[0].reactor
+    bad = BatchRequest(
+        lbas=np.array([0, 2 * stripe, stripe], dtype=np.int64),
+        granularity=4096, is_write=False,
+    )
+    done = manager.ring(bad)
+    started = manager.config.poll_interval / 2 + manager.config.batch_setup_time
+    env.run(until=started + manager.driver.config.per_request_cpu / 2)
+    home = handles[2].reactor
+    handles[2].reactor = handles[1].reactor
+    with pytest.raises(ConfigurationError, match="mixes reactors"):
+        env.run()
+    assert admission.inflight_requests == 0
+    handles[2].reactor = home
+    env.run()
+    assert not done.triggered
+    assert manager.batches_done.total == 0
+    good = BatchRequest(
+        lbas=np.arange(8, dtype=np.int64) * stripe,
+        granularity=4096, is_write=False,
+    )
+    assert env.run(manager.ring(good)) > 0
+    assert manager.batches_done.total == 1
+    assert admission.inflight_requests == 0
 
 
 def test_overload_burst_sheds_and_p99_stays_bounded():

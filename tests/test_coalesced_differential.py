@@ -156,6 +156,37 @@ def test_io_batch_rejects_mixed_reactors():
         platform.env.run(process)
 
 
+def test_io_batch_mixed_reactor_error_reaches_the_caller():
+    """The error is thrown into the generator driving ``io_batch``, at
+    the request that found the mix, and the reactor's serial slot is
+    handed back."""
+    platform = Platform(PlatformConfig(num_ssds=4), functional=False)
+    from repro.spdk.driver import SpdkDriver
+
+    driver = SpdkDriver(platform, num_reactors=2)
+    env = platform.env
+    caught = []
+
+    def caller():
+        try:
+            yield from driver.io_batch(
+                [(0, 0, 0, None), (1, 1, 0, None)], 4096
+            )
+        except ConfigurationError as error:
+            caught.append((env.now, str(error)))
+        results = yield from driver.io_batch([(0, 0, 8, None)], 4096)
+        return results
+
+    results = env.run(env.process(caller()))
+    assert caught == [(
+        driver.config.per_request_cpu,
+        "io_batch group mixes reactors: SSD 1 is owned by reactor 1, "
+        "group started on 0",
+    )]
+    assert [index for index, _ in results] == [0]
+    assert results[0][1].ok
+
+
 def test_io_batch_empty_items_is_noop():
     platform = Platform(PlatformConfig(num_ssds=1), functional=False)
     from repro.spdk.driver import SpdkDriver

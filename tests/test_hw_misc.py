@@ -1,5 +1,6 @@
 """Unit tests for CPU, DRAM, PCIe and Platform assembly."""
 
+import numpy as np
 import pytest
 
 from repro.config import (
@@ -142,6 +143,24 @@ def test_negative_lba_rejected():
     platform = Platform(PlatformConfig(num_ssds=2), functional=False)
     with pytest.raises(ConfigurationError):
         platform.ssd_for_lba(-1)
+
+
+@pytest.mark.parametrize("stripe_blocks", [1, 8, None])
+@pytest.mark.parametrize("num_ssds", [1, 2, 3, 4, 7, 12])
+def test_locate_lbas_is_ssd_for_lba_per_element(num_ssds, stripe_blocks):
+    platform = Platform(PlatformConfig(num_ssds=num_ssds), functional=False)
+    if stripe_blocks is not None:
+        platform.stripe_blocks = stripe_blocks
+    rng = np.random.default_rng(num_ssds)
+    lbas = np.concatenate(
+        [[0], rng.integers(0, 1 << 40, size=256), rng.integers(0, 64, 64)]
+    )
+    ssd_indexes, local_lbas = platform.locate_lbas(lbas)
+    want = [platform.ssd_for_lba(int(lba)) for lba in lbas]
+    assert ssd_indexes == [ssd.ssd_id for ssd, _ in want]
+    assert local_lbas == [local for _, local in want]
+    with pytest.raises(ConfigurationError, match="negative LBA -3"):
+        platform.locate_lbas([0, -3])
 
 
 def test_functional_flag_controls_stores():

@@ -71,6 +71,29 @@ def test_resource_fifo_order():
     assert order == ["first", "second", "third"]
 
 
+def test_resource_acquire_queues_records_with_requests():
+    """A callback-driven record holds a slot itself and queues FIFO
+    behind (and ahead of) ordinary requests."""
+    env = Environment()
+    resource = Resource(env, capacity=1)
+    log = []
+    first, second = env.event(), env.event()
+    assert resource.acquire(first)
+    holder = resource.request()
+    assert not resource.acquire(second)
+    second.callbacks.append(lambda event: log.append(("second", env.now)))
+    holder.callbacks.append(lambda event: log.append(("request", env.now)))
+    resource.release(first)
+    env.run()
+    assert log == [("request", 0.0)]
+    resource.release(holder)
+    env.run()
+    assert log == [("request", 0.0), ("second", 0.0)]
+    assert resource.count == 1 and resource.queued == 0
+    with pytest.raises(SimulationError):
+        PriorityResource(env).acquire(env.event())
+
+
 def test_priority_resource_orders_waiters():
     env = Environment()
     resource = PriorityResource(env, capacity=1)

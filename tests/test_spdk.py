@@ -8,6 +8,7 @@ from repro.errors import ConfigurationError
 from repro.hw.platform import Platform
 from repro.sim import Environment
 from repro.spdk import ReactorPool, SpdkDriver
+from repro.spdk.reactor import Reactor
 from repro.units import KiB
 
 
@@ -133,3 +134,26 @@ def test_write_polling_costs_more_than_read():
         driver2.pool.reactors[0].accountant.instructions_per_request()
     )
     assert write_instr > read_instr
+
+
+@pytest.mark.parametrize("is_write", [False, True])
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 64, 255, 2048, 4096, 8192])
+def test_account_batch_matches_per_request_accounting(count, is_write):
+    """One bulk call equals ``count`` single calls exactly in requests
+    and instructions, and in cycles only up to rounding: e.g. 2048
+    reads give 418909.0909090909 submit cycles one way and
+    418909.0909090953 the other."""
+    platform = Platform(PlatformConfig(num_ssds=1), functional=False)
+    poll = SpdkDriver(platform)._poll_iterations(is_write)
+    config = SPDKConfig()
+    bulk = Reactor(platform.env, 0, config)
+    single = Reactor(platform.env, 1, config)
+    bulk.account_batch(count, poll_iterations=poll)
+    for _ in range(count):
+        single.account_request(poll_iterations=poll)
+    assert bulk.accountant.requests == single.accountant.requests == count
+    for category in ("submit", "poll"):
+        got = bulk.accountant.samples[category]
+        want = single.accountant.samples[category]
+        assert got.instructions == want.instructions
+        assert got.cycles == pytest.approx(want.cycles, rel=1e-12, abs=0)
