@@ -90,10 +90,9 @@ class CamManager:
         #: driver retries/guards each request, the manager types the
         #: batch-level failure
         self.reliability = reliability
-        #: submit batches through the coalesced per-reactor path
-        #: (:meth:`SpdkDriver.io_batch` /
-        #: :meth:`SpdkDriver.io_batch_reliable`) instead of one process
-        #: per request.  Timings are identical; ``coalesce=False`` keeps
+        #: submit batches through the coalesced per-reactor walks
+        #: (:meth:`SpdkDriver.walk`) instead of one process per
+        #: request.  Timings are identical; ``coalesce=False`` keeps
         #: the fan-out path for differential testing.  With a
         #: reliability bundle the coalesced path peels failed commands
         #: off the group and re-drives them per-request, so the fast
@@ -158,9 +157,9 @@ class CamManager:
         the manager past its in-flight bounds is shed here —
         synchronously, before the doorbell is even recorded — with a
         typed :class:`~repro.errors.OverloadError`.  An empty batch, one
-        with a negative LBA, or one whose payload list does not match
-        its LBA count is rejected before that with
-        :class:`~repro.errors.APIUsageError`.
+        with a negative LBA or a request running past its SSD's last
+        block, or one whose payload list does not match its LBA count is
+        rejected before that with :class:`~repro.errors.APIUsageError`.
         """
         if batch.request_count == 0:
             raise APIUsageError("empty batch")
@@ -170,9 +169,11 @@ class CamManager:
         ):
             raise APIUsageError("payloads must match the LBA array length")
         try:
-            batch.located = self.platform.locate_lbas(batch.lbas)
+            located = self.platform.locate_lbas(batch.lbas)
+            self.platform.check_extent(located[1], batch.granularity)
         except ConfigurationError as error:
             raise APIUsageError(f"bad batch: {error}") from None
+        batch.located = located
         if self.admission is not None:
             self.admission.admit(batch.request_count, batch.total_bytes)
         if batch.done is None:
@@ -241,12 +242,12 @@ class CamManager:
 
         Batches proceed concurrently (e.g. a read batch overlapping a
         write-back batch); per-reactor CPU contention still serializes
-        the actual submission work.  A fail-fast coalesced batch is a
-        :class:`_BatchRun` record driven by heap callbacks; a batch with
-        a reliability bundle, or on the fan-out path, is a
+        the actual submission work.  A coalesced batch, with or without
+        a reliability bundle, is a :class:`_BatchRun` record driven by
+        heap callbacks; a batch on the fan-out path is a
         :meth:`_handle_batch` process.
         """
-        if self.reliability is not None or not self.coalesce:
+        if not self.coalesce:
             self.env.process(self._handle_batch(batch))
             return
         try:
@@ -429,14 +430,11 @@ class CamManager:
         return failures
 
     def _process_batch(self, batch: BatchRequest) -> Generator:
-        """Submit a batch on the generator path and wait for every CQE.
+        """Submit a batch on the fan-out path (``coalesce=False``), one
+        process per request, and wait for every CQE.
 
-        With a reliability bundle the batch is grouped per owning
-        reactor and each group walks through
-        :meth:`~repro.spdk.driver.SpdkDriver.io_batch_reliable`; the
-        fan-out path (``coalesce=False``) spawns one process per
-        request.  Both produce identical simulated timestamps — the
-        differential tests in ``tests/test_coalesced_differential.py``
+        It produces the simulated timestamps of the coalesced records —
+        the differential tests in ``tests/test_coalesced_differential.py``
         and ``tests/test_reliable_coalesced_differential.py`` pin that
         down.
         """
@@ -445,36 +443,9 @@ class CamManager:
         failures = []
         for start in range(0, count, step):
             stop = min(start + step, count)
-            if self.coalesce:
-                results = yield from self._walk_reliable(batch, start, stop)
-            else:
-                results = yield from self._fan_out(batch, start, stop)
+            results = yield from self._fan_out(batch, start, stop)
             failures.extend(self._failures(batch, results))
         return failures
-
-    def _walk_reliable(
-        self, batch: BatchRequest, start: int, stop: int
-    ) -> Generator:
-        """Walk each reactor's group of one slice in its own process."""
-        walks = [
-            self.driver.io_batch_reliable(
-                items,
-                batch.granularity,
-                is_write=batch.is_write,
-                target=batch.dest,
-                parent_span=batch.trace_span,
-            )
-            for items in self._group(batch, start, stop)
-        ]
-        if len(walks) == 1:
-            return (yield from walks[0])
-        procs = [self.env.process(walk) for walk in walks]
-        done = yield self.env.all_of(procs)
-        results = []
-        for proc in procs:
-            results.extend(done[proc])
-        results.sort(key=_by_index)
-        return results
 
     def _fan_out(
         self, batch: BatchRequest, start: int, stop: int
@@ -543,23 +514,24 @@ class CamManager:
         return fractions
 
 
-# -- the fail-fast batch record ----------------------------------------------
+# -- the batch record --------------------------------------------------------
 
 _by_index = itemgetter(0)
 
 
 class _BatchRun(Event):
-    """One fail-fast coalesced batch in flight, advanced by heap callbacks.
+    """One coalesced batch in flight, advanced by heap callbacks.
 
     It starts in the poller.  Each admission slice is grouped per
     reactor and each group walked by
-    :meth:`~repro.spdk.driver.SpdkDriver.walk`.  A slice with one group
-    goes on in the callback where its walk ends.  With several groups
-    each walk ends with a same-instant hop, and the last hop puts this
-    record on the heap as the join, so the slice's tail runs after the
-    other events of that instant that were already queued.  Walks hand
-    their outcomes over when they end; the record never references a
-    walk.  ``docs/PERFORMANCE.md`` §2 lists the events this keeps.
+    :meth:`~repro.spdk.driver.SpdkDriver.walk`, fail-fast or reliable
+    as the driver is.  A slice with one group goes on in the callback
+    where its walk ends.  With several groups each walk ends with a
+    same-instant hop, and the last hop puts this record on the heap as
+    the join, so the slice's tail runs after the other events of that
+    instant that were already queued.  Walks hand their outcomes over
+    when they end; the record never references a walk.
+    ``docs/PERFORMANCE.md`` §2 lists the events this keeps.
     """
 
     __slots__ = (

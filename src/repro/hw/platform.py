@@ -120,6 +120,24 @@ class Platform:
             local_lbas.append(local_lba)
         return ssd_indexes, local_lbas
 
+    def check_extent(self, local_lbas, nbytes: int) -> None:
+        """Reject requests of ``nbytes`` each that run past their SSD.
+
+        ``local_lbas`` are per-SSD LBAs, as :meth:`locate_lbas` returns
+        them.  A request is out of range when its local LBA plus its
+        block count exceeds the SSD's capacity in blocks; raises
+        :class:`~repro.errors.ConfigurationError` if any one is.
+        """
+        ssd = self.config.ssd
+        blocks = max(1, -(-nbytes // ssd.block_size))
+        capacity = ssd.capacity_bytes // ssd.block_size
+        last = max(local_lbas)
+        if last + blocks > capacity:
+            raise ConfigurationError(
+                f"{blocks} blocks at local LBA {last} run past the "
+                f"{capacity} blocks of an SSD"
+            )
+
     def reset_stats(self) -> None:
         """Restart all throughput/utilization observation windows."""
         self.pcie.reset_stats()

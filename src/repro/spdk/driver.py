@@ -11,6 +11,7 @@ reactor, so no lock is needed in the model either.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappush
 from operator import itemgetter
 from typing import Generator, List, Optional
@@ -436,12 +437,21 @@ class SpdkDriver:
                 "io_batch is the fail-fast path; use io_batch_reliable "
                 "with a reliability bundle"
             )
+        return (yield from self._walked(
+            items, granularity, is_write, target, parent_span,
+            self.resize_epoch if epoch is None else epoch,
+        ))
+
+    def _walked(
+        self, items, granularity: int, is_write: bool, target,
+        parent_span, epoch: int,
+    ) -> Generator:
+        """Process: run :meth:`walk` and return its results."""
         if not items:
             return []
         done = Event(self.env)
         walk = self.walk(
-            items, granularity, is_write, target, parent_span,
-            self.resize_epoch if epoch is None else epoch,
+            items, granularity, is_write, target, parent_span, epoch,
             done, _resume_waiter,
         )
         if walk.results is None:
@@ -456,26 +466,33 @@ class SpdkDriver:
         :meth:`io_batch` for ``items`` and ``epoch``).
 
         The walk runs up to its first wait and returns its record.  Once
-        every completion is in, ``record.results`` holds the sorted
-        ``(orig_index, outcome)`` list and ``on_done(record)`` runs —
-        inside this call when nothing had to wait (a crashed reactor),
-        else in the heap callback where the last completion pops.  A
-        group that mixes reactors with no remap since ``epoch`` ends the
-        walk early instead: ``record.error`` holds the
-        :class:`~repro.errors.ConfigurationError`, ``record.results``
-        stays None, and ``on_done(record)`` runs at once.  ``owner``
-        rides along on ``record.owner`` for ``on_done``.
+        every request has its outcome, ``record.results`` holds the
+        sorted ``(orig_index, outcome)`` list and ``on_done(record)``
+        runs — inside this call when nothing had to wait (a fail-fast
+        walk on a crashed reactor), else in the heap callback where the
+        walk ends.  A fail-fast group that mixes reactors with no remap
+        since ``epoch`` ends the walk early instead: ``record.error``
+        holds the :class:`~repro.errors.ConfigurationError`,
+        ``record.results`` stays None, and ``on_done(record)`` runs at
+        once.  ``owner`` rides along on ``record.owner`` for
+        ``on_done``.  With a reliability bundle the record is a
+        :class:`_ReliableWalk` (see :meth:`io_batch_reliable`), which
+        ignores ``epoch``.
         """
-        walk = _Walk(
-            self, items, granularity, is_write, target, parent_span,
-            epoch, owner, on_done,
+        record, step, on_grant = (
+            (_Walk, _walk_step, _ON_GRANT) if self.reliability is None
+            else (_ReliableWalk, _reliable_step, _ON_RELIABLE_GRANT)
+        )
+        walk = record(
+            self, items, granularity, is_write, target, parent_span, epoch,
+            owner, on_done,
         )
         if walk.reactor._serial.acquire(walk):
-            _walk_step(walk)
+            step(walk)
         else:
             walk._value = _PENDING
             walk._ok = None
-            walk.callbacks = _ON_GRANT
+            walk.callbacks = on_grant
         return walk
 
     def _shape(self, granularity: int, is_write: bool) -> tuple:
@@ -502,311 +519,36 @@ class SpdkDriver:
         """Process: coalesced submission with per-request reliability.
 
         Same submission shape as :meth:`io_batch` — one serial hold for
-        the group, per-item CPU charge, SQ/CQ ring bypass — but each
-        completion flows through a :class:`CompletionGroup` *sink*
-        instead of the group event: successful CQEs settle at coalesced
-        speed, failed CQEs are peeled off and re-driven through
-        :meth:`Reliability.run` (the failed CQE counts as attempt 1, so
-        retry/backoff/breaker accounting matches the fan-out path
-        exactly), and every in-flight item carries the same watchdog
-        deadline the fan-out path would arm.  If the owning reactor
-        crashes mid-group, unsubmitted items fall back to the full
-        per-request path, which waits out a failover.
+        the group, per-item CPU charge — but each SQE goes through the
+        SQ ring, and each completion flows through a
+        :class:`CompletionGroup` *sink* instead of the group event:
+        successful CQEs settle at coalesced speed, failed CQEs are
+        peeled off and re-driven through :meth:`Reliability.run` (the
+        failed CQE counts as attempt 1, so retry/backoff/breaker
+        accounting matches the fan-out path exactly), and every
+        in-flight item carries the same watchdog deadline the fan-out
+        path would arm.  If the owning reactor crashes mid-group, or a
+        failover re-homes an SSD under it, the affected items fall back
+        to the full per-request path, which waits out a failover.
 
         Returns a list of ``(orig_index, outcome)`` sorted by
         ``orig_index`` — each outcome a CQE (ok, or the final failure
         after the retry budget) or a typed
         :class:`~repro.errors.DeviceError` (watchdog timeouts, offline
         devices, an unrescued reactor crash).
+
+        The walk is :meth:`walk`'s :class:`_ReliableWalk` record; this
+        generator only waits for it.
         """
-        reliability = self.reliability
-        if reliability is None:
+        if self.reliability is None:
             raise ConfigurationError(
                 "io_batch_reliable needs a reliability bundle; "
                 "use io_batch"
             )
-        if not items:
-            return []
-        env = self.env
-        opcode, num_blocks, poll_iterations = self._shape(
-            granularity, is_write
-        )
-        handles = self._handles
-        ssds = self.platform.ssds
-        reactor = handles[items[0][1]].reactor
-        tracer = env.tracer
-        tracing = tracer.enabled
-        per_request_cpu = self.config.per_request_cpu
-        watchdog = reliability.watchdog
-        injector = self.platform.fault_injector
-
-        by_index = {item[0]: item for item in items}
-        outcomes = {}  # orig_index -> CQE | DeviceError
-        #: orig_indexes whose first CQE arrived (disarms the watchdog;
-        #: retries arm their own guards inside _attempt)
-        first_done = set()
-        all_done = env.event()
-        state = {"remaining": len(items)}
-
-        def settle(orig_index, outcome):
-            if orig_index in outcomes:
-                # invariant: a request terminates exactly once
-                self.duplicate_completions += 1
-                return
-            outcomes[orig_index] = outcome
-            state["remaining"] -= 1
-            if state["remaining"] == 0:
-                all_done.succeed()
-
-        def make_attempt(orig_index, ssd_index, local_lba, payload):
-            def attempt():
-                # re-fetch the handle: after a failover the SSD may
-                # have been re-homed onto a surviving reactor
-                return self._attempt(
-                    self._handles[ssd_index], ssd_index, local_lba,
-                    num_blocks, granularity, is_write, payload, target,
-                    orig_index * granularity, parent_span,
-                )
-            return attempt
-
-        metrics = env.metrics
-
-        def link_redrive(ssd_index, local_lba):
-            # flow-link the redrive back to the originating request so
-            # cam-trace can attribute retry latency to its trace_id
-            if tracing and parent_span is not None:
-                tracer.instant(
-                    "redrive_link",
-                    parent=parent_span,
-                    ssd=ssd_index,
-                    lba=local_lba,
-                    trace_id=parent_span.tags.get("trace_id"),
-                    links=parent_span.tags.get("links"),
-                )
-
-        def redrive(orig_index, ssd_index, local_lba, payload):
-            """Process: the full per-request reliable path for one item
-            (used for items that never reached the wire)."""
-            if metrics.enabled:
-                metrics.redrive()
-            link_redrive(ssd_index, local_lba)
-            try:
-                cqe = yield from reliability.run(
-                    make_attempt(orig_index, ssd_index, local_lba, payload),
-                    ssd_id=ssd_index,
-                    lba=local_lba,
-                    is_write=is_write,
-                    parent_span=parent_span,
-                )
-            except DeviceTimeoutError as error:
-                reliability.health.mark_offline(ssd_index)
-                settle(orig_index, error)
-                return
-            except DeviceError as error:
-                settle(orig_index, error)
-                return
-            settle(orig_index, cqe)
-
-        def redrive_failed(hop, orig_index, ssd_index, local_lba, payload,
-                           first_cqe):
-            """Process: re-drive one failed command through the retry loop.
-
-            The fan-out path delivers a failed CQE to its request process
-            across three same-instant event hops — the CQ-ring wake, the
-            per-command waiter event, and the watchdog's AnyOf condition.
-            The sink absorbs the CQE with zero hops, so this process
-            replays them before entering :meth:`Reliability.run`; the
-            retry's backoff timer is then created at exactly the position
-            in the event order where the fan-out path would create it,
-            keeping same-instant tie-breaks on shared stages bit-identical.
-            """
-            if metrics.enabled:
-                metrics.redrive()
-            link_redrive(ssd_index, local_lba)
-            yield hop                # CQ-ring -> dispatcher wake
-            yield env.timeout(0.0)   # per-command waiter event
-            yield env.timeout(0.0)   # watchdog AnyOf condition
-            try:
-                cqe = yield from reliability.run(
-                    make_attempt(orig_index, ssd_index, local_lba, payload),
-                    ssd_id=ssd_index,
-                    lba=local_lba,
-                    is_write=is_write,
-                    parent_span=parent_span,
-                    first_cqe=first_cqe,
-                )
-            except DeviceTimeoutError as error:
-                reliability.health.mark_offline(ssd_index)
-                settle(orig_index, error)
-                return
-            except DeviceError as error:
-                settle(orig_index, error)
-                return
-            settle(orig_index, cqe)
-
-        def make_sink(ssd_index):
-            def sink(cqe):
-                orig_index = owners[cqe.command_id]
-                if orig_index in outcomes:
-                    return  # watchdog already settled it
-                first_done.add(orig_index)
-                if cqe.ok:
-                    # mirror Reliability.run's first-attempt success
-                    cqe.attempts = 1
-                    reliability.health.record_success(ssd_index)
-                    settle(orig_index, cqe)
-                    return
-                item = by_index[orig_index]
-                hop = env.timeout(0.0)
-                env.process(
-                    redrive_failed(
-                        hop, orig_index, ssd_index, item[2], item[3], cqe
-                    )
-                )
-            return sink
-
-        def arm_watchdog(orig_index, ssd_index, local_lba):
-            # same deadline the fan-out guard would race the CQE against
-            deadline = watchdog.deadline(granularity)
-            timer = env.timeout(deadline)
-
-            def expire(_event):
-                if orig_index in first_done or orig_index in outcomes:
-                    return
-                watchdog.timeouts_fired += 1
-                error = watchdog.classify(
-                    ssd_ids=(ssd_index,),
-                    fault_injector=injector,
-                    deadline=deadline,
-                    description=f"spdk ssd {ssd_index} lba {local_lba}",
-                )
-                if tracer.enabled:
-                    tracer.instant(
-                        "watchdog_timeout",
-                        parent=parent_span,
-                        deadline=deadline,
-                        offline=isinstance(error, DeviceOfflineError),
-                    )
-                reliability.health.mark_offline(ssd_index)
-                first_done.add(orig_index)
-                settle(orig_index, error)
-
-            timer.callbacks.append(expire)
-
-        groups = {}  # ssd_index -> CompletionGroup
-        owners = {}  # command_id -> orig_index
-        submitted = 0
-        slot = reactor._serial.request()
-        granted = False
-        try:
-            try:
-                yield slot
-                granted = True
-            except ReactorOfflineError:
-                pass  # whole group re-drives below
-            if granted:
-                last = len(items) - 1
-                for pos, (orig_index, ssd_index, local_lba, payload) in (
-                    enumerate(items)
-                ):
-                    if reactor.crashed:
-                        break
-                    handle = handles[ssd_index]
-                    if handle.reactor is not reactor:
-                        # a failover re-homed this SSD between grouping
-                        # and submission: peel it off to the per-request
-                        # path instead of charging the wrong reactor
-                        env.process(
-                            redrive(orig_index, ssd_index, local_lba, payload)
-                        )
-                        submitted += 1
-                        continue
-                    span = None
-                    if tracing:
-                        span = tracer.begin(
-                            "submit",
-                            parent=parent_span,
-                            reactor=reactor.reactor_id,
-                        )
-                    yield Timeout(env, per_request_cpu)
-                    reactor.busy_seconds += per_request_cpu
-                    reactor.last_progress = env.now
-                    if tracing:
-                        cost = reactor.account_request(
-                            poll_iterations=poll_iterations
-                        )
-                        span.tags["ssd"] = ssd_index
-                        span.tags["is_write"] = is_write
-                        span.tags.update(cost)
-                        tracer.end(span)
-                    # Fan-out order inside this instant: the finishing
-                    # charge releases the reactor serial (granting the
-                    # next waiter) *before* the SQE goes on the wire and
-                    # the guard is armed, and the next request's CPU
-                    # timer is only created when that grant event pops.
-                    # Replay it: schedule the grant-analog hop first,
-                    # submit, then let the hop pop before the next item's
-                    # timer exists.  Retries run the real fan-out code,
-                    # so same-instant tie-breaks between first attempts
-                    # and retries resolve identically on both paths.
-                    hop = env.timeout(0.0) if pos != last else None
-                    sqe = SQE(
-                        opcode=opcode,
-                        lba=local_lba,
-                        num_blocks=num_blocks,
-                        payload=payload,
-                        target=target,
-                        target_offset=orig_index * granularity,
-                        trace_span=parent_span,
-                    )
-                    group = groups.get(ssd_index)
-                    if group is None:
-                        group = handle.dispatcher.open_group()
-                        group.sink = make_sink(ssd_index)
-                        groups[ssd_index] = group
-                    handle.dispatcher.expect(group, sqe.command_id)
-                    owners[sqe.command_id] = orig_index
-                    # through the SQ ring (not submit_direct): retries
-                    # share these rings, and the device-side hop
-                    # structure must match theirs for tie-break parity
-                    yield handle.queue_pair.submit(sqe)
-                    if watchdog is not None:
-                        arm_watchdog(orig_index, ssd_index, local_lba)
-                    submitted += 1
-                    if hop is not None:
-                        yield hop
-        finally:
-            if granted:
-                reactor._serial.release(slot)
-            elif not slot.triggered:
-                slot.cancel()
-        # reactor accounting covers only wire-submitted items (len(owners));
-        # peeled/leftover items charge their own reactor inside _attempt
-        reactor.requests.add(len(owners))
-        if not tracing and len(owners):
-            reactor.account_batch(
-                len(owners), poll_iterations=poll_iterations
-            )
-        if metrics.enabled and owners:
-            metrics.coalesced_group(reactor.reactor_id, len(owners))
-        for ssd_index, group in groups.items():
-            handles[ssd_index].dispatcher.seal(group)
-        # unsubmitted leftovers ride the full per-request reliable path
-        # (charge waits out a failover, every attempt gets its own guard)
-        for orig_index, ssd_index, local_lba, payload in items[submitted:]:
-            env.process(
-                redrive(orig_index, ssd_index, local_lba, payload)
-            )
-        if state["remaining"]:
-            yield all_done
-        results = sorted(outcomes.items())
-        completed = sum(
-            1 for _, outcome in results
-            if not isinstance(outcome, DeviceError)
-        )
-        self.requests_done.add(completed)
-        self.bytes_done.add(completed * granularity)
-        return results
+        return (yield from self._walked(
+            items, granularity, is_write, target, parent_span,
+            self.resize_epoch,
+        ))
 
     def _poll_iterations(self, is_write: bool) -> float:
         """Average empty poll iterations charged per request (Fig. 13).
@@ -836,7 +578,8 @@ class _Walk(Event):
     take the record as argument, so a walk allocates no process,
     generator, request or timeout, and never references itself.  The
     per-SSD completion groups stay events of their own, waited on in
-    order.
+    order.  This is the fail-fast walk; :class:`_ReliableWalk` extends
+    it with retries and watchdog deadlines.
     """
 
     __slots__ = (
@@ -978,28 +721,32 @@ def _walk_step(walk: _Walk) -> None:
     heappush(env._heap, (env._now + cpu, NORMAL, env._eid, walk))
 
 
-def _walk_submitted(walk: _Walk, granted: bool) -> None:
-    """Close the submission phase: hand the serial slot back, account
-    the group once, seal its completion groups and wait for them."""
-    driver = walk.driver
+def _close(walk: _Walk, granted: bool) -> None:
+    """Close a walk's submission phase: hand the serial slot back,
+    account the requests that went on the wire once, and seal their
+    completion groups."""
     reactor = walk.reactor
     if granted:
         reactor._serial.release(walk)
-    submitted = walk.position
+    submitted = len(walk.owners)
     reactor.requests.add(submitted)
     if submitted:
         if walk.tracer is None:
             reactor.account_batch(
                 submitted, poll_iterations=walk.shape[2]
             )
-        metrics = driver.env.metrics
+        metrics = walk.env.metrics
         if metrics.enabled:
             metrics.coalesced_group(reactor.reactor_id, submitted)
-    groups = walk.groups
-    handles = driver._handles
-    for ssd_index, group in groups.items():
+    handles = walk.driver._handles
+    for ssd_index, group in walk.groups.items():
         handles[ssd_index].dispatcher.seal(group)
-    pending = list(groups.values())
+
+
+def _walk_submitted(walk: _Walk, granted: bool) -> None:
+    """Close the submission phase and wait for the completion groups."""
+    _close(walk, granted)
+    pending = list(walk.groups.values())
     pending.reverse()
     walk.groups = pending
     _walk_collect(walk)
@@ -1047,9 +794,10 @@ def _walk_collect(walk: _Walk, event: Optional[Event] = None) -> None:
 
 
 def _resume_waiter(walk: _Walk) -> None:
-    """``on_done`` of :meth:`SpdkDriver.io_batch`: mark its event
-    processed and resume the waiting generator in this same callback,
-    without a heap hop of its own.  A walk's error is thrown into the
+    """``on_done`` of :meth:`SpdkDriver.io_batch` and
+    :meth:`SpdkDriver.io_batch_reliable`: mark their event processed
+    and resume the waiting generator in this same callback, without a
+    heap hop of its own.  A walk's error is thrown into the
     generator, where the walk found it."""
     event = walk.owner
     callbacks, event.callbacks = event.callbacks, None
@@ -1059,6 +807,360 @@ def _resume_waiter(walk: _Walk) -> None:
         callback(event)
 
 
-#: the walk's stage lists (see :class:`_Walk`)
+# -- the reliable walk --------------------------------------------------------
+
+
+class _ReliableWalk(_Walk):
+    """A :class:`_Walk` whose requests carry the reliability bundle.
+
+    It keeps every heap event of the reliable generator walk it
+    replaced, which replays the fan-out path's same-instant hops so that
+    retries sharing the SQ rings tie-break identically; only
+    process-start hops are gone.  Besides the serial grant and the CPU
+    charges, the record is the heap event of:
+
+    * each request's grant-analog hop, pushed after its charge and
+      before its SQE goes on the ring (not the last request's), after
+      which the next charge starts;
+    * the all-done hop, pushed when the last request settles.
+
+    SQEs go through the SQ ring, whose consumer wakeup stays an event;
+    a full ring is waited on before the watchdog is armed.  Each
+    request's watchdog deadline is a :class:`_Deadline` record.
+    Completions reach :func:`_reliable_sink`: an OK CQE settles its
+    request, a failed one is re-driven by a :func:`_redrive` process
+    through :meth:`~repro.reliability.Reliability.run`, as are requests
+    a reactor crash or failover kept off the wire.  ``owners`` maps a
+    command id to its item.
+    """
+
+    __slots__ = ("outcomes", "retrying", "deadline", "put")
+
+    def __init__(self, driver, items, granularity, *args):
+        super().__init__(driver, items, granularity, *args)
+        #: orig_index -> CQE | DeviceError, once settled
+        self.outcomes = {}
+        #: orig_indexes whose first CQE failed: their re-drive guards
+        #: its own attempts, so the walk's deadline stands down
+        self.retrying = set()
+        watchdog = driver.reliability.watchdog
+        self.deadline = (
+            None if watchdog is None else watchdog.deadline(granularity)
+        )
+        #: the SQ-ring put of ``items[position]`` while the ring is full
+        self.put = None
+
+    def _put_done(self, event: Event) -> None:
+        """Callback of the put the walk waited on (a full SQ ring)."""
+        _reliable_submitted(self)
+
+
+class _Deadline(Event):
+    """The watchdog deadline of one request a reliable walk put on the
+    wire: a heap event whose expiry fails the request with a typed
+    timeout unless its first CQE has arrived."""
+
+    __slots__ = ("walk", "item")
+
+    def __init__(self, walk: _ReliableWalk, item):
+        env = walk.env
+        self.env = env
+        self.callbacks = _ON_DEADLINE
+        self._ok = True
+        self._value = None
+        self._defused = False
+        self.walk = walk
+        self.item = item
+        env._eid += 1
+        heappush(
+            env._heap, (env._now + walk.deadline, NORMAL, env._eid, self)
+        )
+
+
+def _reliable_granted(walk: _ReliableWalk) -> None:
+    """Heap callback: the queued serial slot was handed over, or a
+    crash refused it (every request is then re-driven)."""
+    if walk._ok:
+        _reliable_step(walk)
+        return
+    walk._defused = True
+    walk._ok = True
+    walk._value = None
+    _reliable_close(walk, granted=False)
+
+
+def _reliable_step(walk: _ReliableWalk) -> None:
+    """Start the next request's CPU charge, peeling off requests whose
+    SSD a failover re-homed, or close the submission phase once every
+    request is on the wire or the reactor has crashed.
+
+    Also the callback of the grant-analog hop, which leaves a put still
+    waiting for ring space to go on from its own callback.
+    """
+    if walk.put is not None:
+        return
+    reactor = walk.reactor
+    items = walk.items
+    position = walk.position
+    driver = walk.driver
+    handles = driver._handles
+    while position < len(items) and not reactor.crashed:
+        item = items[position]
+        if handles[item[1]].reactor is not reactor:
+            # peel it off to the per-request path instead of charging
+            # the wrong reactor
+            walk.env.process(_redrive(walk, item))
+            position += 1
+            continue
+        walk.position = position
+        tracer = walk.tracer
+        if tracer is not None:
+            walk.span = tracer.begin(
+                "submit", parent=walk.parent_span,
+                reactor=reactor.reactor_id,
+            )
+        walk.callbacks = _ON_RELIABLE_CHARGED
+        env = walk.env
+        env._eid += 1
+        heappush(env._heap, (
+            env._now + driver.config.per_request_cpu, NORMAL, env._eid,
+            walk,
+        ))
+        return
+    walk.position = position
+    _reliable_close(walk, granted=True)
+
+
+def _reliable_charged(walk: _ReliableWalk) -> None:
+    """Heap callback: a request's CPU charge ended; put its SQE on the
+    ring.
+
+    Fan-out order inside this instant: the finishing charge releases
+    the reactor's serial slot, granting the next waiter, before the SQE
+    goes on the ring and its guard is armed, and the next charge starts
+    only when that grant pops.  The grant-analog hop replays it.
+    """
+    driver = walk.driver
+    reactor = walk.reactor
+    env = walk.env
+    items = walk.items
+    position = walk.position
+    item = items[position]
+    orig_index, ssd_index, local_lba, payload = item
+    reactor.busy_seconds += driver.config.per_request_cpu
+    reactor.last_progress = env._now
+    opcode, num_blocks, poll_iterations = walk.shape
+    span = walk.span
+    if span is not None:
+        cost = reactor.account_request(poll_iterations=poll_iterations)
+        span.tags["ssd"] = ssd_index
+        span.tags["is_write"] = walk.is_write
+        span.tags.update(cost)
+        walk.tracer.end(span)
+    if position + 1 < len(items):
+        walk.callbacks = _ON_HOP
+        env._eid += 1
+        heappush(env._heap, (env._now, NORMAL, env._eid, walk))
+    sqe = SQE(
+        opcode=opcode,
+        lba=local_lba,
+        num_blocks=num_blocks,
+        payload=payload,
+        target=walk.target,
+        target_offset=orig_index * walk.granularity,
+        trace_span=walk.parent_span,
+    )
+    handle = driver._handles[ssd_index]
+    dispatcher = handle.dispatcher
+    group = walk.groups.get(ssd_index)
+    if group is None:
+        group = walk.groups[ssd_index] = dispatcher.open_group()
+        group.sink = partial(_reliable_sink, walk)
+    dispatcher.expect(group, sqe.command_id)
+    walk.owners[sqe.command_id] = item
+    # through the SQ ring (not submit_direct): retries share these
+    # rings, and the device-side hop structure must match theirs
+    put = handle.queue_pair.submit(sqe)
+    if put.callbacks is None:
+        _reliable_submitted(walk)
+    else:
+        walk.put = put
+        put.callbacks.append(walk._put_done)
+
+
+def _reliable_submitted(walk: _ReliableWalk) -> None:
+    """The SQE of ``items[position]`` is on the ring: arm its watchdog
+    deadline, then go on once its hop has popped."""
+    walk.put = None
+    position = walk.position
+    if walk.deadline is not None:
+        _Deadline(walk, walk.items[position])
+    position += 1
+    walk.position = position
+    if position == len(walk.items):
+        _reliable_close(walk, granted=True)
+    elif walk.callbacks is None:
+        # the hop popped while the put waited for ring space
+        _reliable_step(walk)
+
+
+def _reliable_close(walk: _ReliableWalk, granted: bool) -> None:
+    """Close the submission phase; the requests it never put on the
+    wire ride the full per-request path, which waits out a failover.
+
+    The dispatchers hold the sealed groups until their last CQE, so the
+    record lets go of them: no reference cycle runs through the sinks.
+    """
+    _close(walk, granted)
+    walk.groups = None
+    process = walk.env.process
+    for item in walk.items[walk.position:]:
+        process(_redrive(walk, item))
+
+
+def _reliable_sink(walk: _ReliableWalk, cqe) -> None:
+    """Completion sink of a reliable walk's groups."""
+    item = walk.owners[cqe.command_id]
+    orig_index = item[0]
+    if orig_index in walk.outcomes:
+        return  # the watchdog already settled it
+    if cqe.ok:
+        # mirror Reliability.run's first-attempt success
+        cqe.attempts = 1
+        walk.driver.reliability.health.record_success(item[1])
+        _settle(walk, orig_index, cqe)
+        return
+    walk.retrying.add(orig_index)
+    env = walk.env
+    hop = Timeout(env, 0.0)
+    env.process(_redrive(walk, item, cqe, hop))
+
+
+def _deadline_expired(deadline: _Deadline) -> None:
+    """Heap callback: a request's watchdog deadline passed."""
+    walk = deadline.walk
+    orig_index, ssd_index, local_lba, _ = deadline.item
+    if orig_index in walk.outcomes or orig_index in walk.retrying:
+        return
+    driver = walk.driver
+    reliability = driver.reliability
+    watchdog = reliability.watchdog
+    watchdog.timeouts_fired += 1
+    error = watchdog.classify(
+        ssd_ids=(ssd_index,),
+        fault_injector=driver.platform.fault_injector,
+        deadline=walk.deadline,
+        description=f"spdk ssd {ssd_index} lba {local_lba}",
+    )
+    tracer = walk.tracer
+    if tracer is not None:
+        tracer.instant(
+            "watchdog_timeout",
+            parent=walk.parent_span,
+            deadline=walk.deadline,
+            offline=isinstance(error, DeviceOfflineError),
+        )
+    reliability.health.mark_offline(ssd_index)
+    _settle(walk, orig_index, error)
+
+
+def _redrive(walk: _ReliableWalk, item, first_cqe=None, hop=None):
+    """Process: one request of a walk on the full per-request reliable
+    path.
+
+    ``first_cqe`` is the failed CQE of a request the walk put on the
+    wire; it counts as attempt 1.  The fan-out path delivers that CQE
+    to its request process across three same-instant hops — the CQ-ring
+    wake (``hop``, created by the sink), the per-command waiter event
+    and the watchdog's AnyOf condition — so they are replayed before
+    :meth:`Reliability.run`, which then creates the retry's backoff
+    timer where the fan-out path would.
+    """
+    driver = walk.driver
+    reliability = driver.reliability
+    env = walk.env
+    orig_index, ssd_index, local_lba, payload = item
+    metrics = env.metrics
+    if metrics.enabled:
+        metrics.redrive()
+    tracer = walk.tracer
+    parent_span = walk.parent_span
+    if tracer is not None and parent_span is not None:
+        # flow-link the redrive back to the originating request so
+        # cam-trace can attribute retry latency to its trace_id
+        tracer.instant(
+            "redrive_link",
+            parent=parent_span,
+            ssd=ssd_index,
+            lba=local_lba,
+            trace_id=parent_span.tags.get("trace_id"),
+            links=parent_span.tags.get("links"),
+        )
+    if hop is not None:
+        yield hop
+        yield Timeout(env, 0.0)
+        yield Timeout(env, 0.0)
+
+    def attempt():
+        # re-fetch the handle: after a failover the SSD may have been
+        # re-homed onto a surviving reactor
+        return driver._attempt(
+            driver._handles[ssd_index], ssd_index, local_lba,
+            walk.shape[1], walk.granularity, walk.is_write, payload,
+            walk.target, orig_index * walk.granularity, parent_span,
+        )
+
+    try:
+        outcome = yield from reliability.run(
+            attempt,
+            ssd_id=ssd_index,
+            lba=local_lba,
+            is_write=walk.is_write,
+            parent_span=parent_span,
+            first_cqe=first_cqe,
+        )
+    except DeviceTimeoutError as error:
+        reliability.health.mark_offline(ssd_index)
+        outcome = error
+    except DeviceError as error:
+        outcome = error
+    _settle(walk, orig_index, outcome)
+
+
+def _settle(walk: _ReliableWalk, orig_index: int, outcome) -> None:
+    """Record a request's outcome; the last one schedules the all-done
+    hop."""
+    outcomes = walk.outcomes
+    if orig_index in outcomes:
+        # invariant: a request terminates exactly once
+        walk.driver.duplicate_completions += 1
+        return
+    outcomes[orig_index] = outcome
+    if len(outcomes) == len(walk.items):
+        walk.callbacks = _ON_ALL_DONE
+        env = walk.env
+        env._eid += 1
+        heappush(env._heap, (env._now, NORMAL, env._eid, walk))
+
+
+def _reliable_done(walk: _ReliableWalk) -> None:
+    """Heap callback: the all-done hop; hand the results over."""
+    results = sorted(walk.outcomes.items())
+    completed = sum(
+        1 for _, outcome in results if not isinstance(outcome, DeviceError)
+    )
+    driver = walk.driver
+    driver.requests_done.add(completed)
+    driver.bytes_done.add(completed * walk.granularity)
+    walk.results = results
+    walk.on_done(walk)
+
+
+#: the walks' stage lists (see :class:`_Walk` and :class:`_ReliableWalk`)
 _ON_GRANT = [_walk_granted]
 _ON_CHARGED = [_walk_step]
+_ON_RELIABLE_GRANT = [_reliable_granted]
+_ON_RELIABLE_CHARGED = [_reliable_charged]
+_ON_HOP = [_reliable_step]
+_ON_ALL_DONE = [_reliable_done]
+_ON_DEADLINE = [_deadline_expired]

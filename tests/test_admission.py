@@ -154,6 +154,53 @@ def test_manager_ring_rejects_negative_lba_before_admission():
     assert admission.inflight_requests == 0
 
 
+@pytest.mark.parametrize("straddles", [False, True])
+@pytest.mark.parametrize("functional", [False, True])
+@pytest.mark.parametrize("reliable", [False, True])
+def test_manager_ring_rejects_lba_past_capacity_before_admission(
+    reliable, functional, straddles
+):
+    """A request running past its SSD's last block is rejected at
+    ``ring``.  Let through, it raised out of ``env.run`` and never
+    completed on a functional platform, timed out and marked a healthy
+    SSD offline with a reliability bundle, and read as a success on a
+    timing platform."""
+    platform = Platform(PlatformConfig(num_ssds=2), functional=functional)
+    ssd = platform.config.ssd
+    total_blocks = 2 * ssd.capacity_bytes // ssd.block_size
+    admission = AdmissionController(platform.env, max_inflight_requests=64)
+    reliability = Reliability(platform) if reliable else None
+    manager = CamManager(
+        platform, admission=admission, reliability=reliability
+    )
+    # 8-block requests: SSD 1 holds local LBA capacity - 4 at global
+    # LBA total - 4 (straddling its last block) and local LBA capacity
+    # at global LBA total + 8 (wholly past it)
+    bad_lba = total_blocks - 4 if straddles else total_blocks + 8
+    bad = BatchRequest(
+        lbas=np.array([0, bad_lba], dtype=np.int64),
+        granularity=4096, is_write=False,
+    )
+    health = reliability.health.snapshot() if reliable else None
+    with pytest.raises(APIUsageError, match="run past"):
+        manager.ring(bad)
+    assert bad.done is None
+    assert admission.inflight_requests == 0
+    assert admission.admitted_requests.total == 0
+    if reliable:
+        assert reliability.health.snapshot() == health
+    # the last whole request on SSD 1 still fits
+    good = BatchRequest(
+        lbas=np.array([0, total_blocks - 8], dtype=np.int64),
+        granularity=4096, is_write=False,
+    )
+    assert platform.env.run(manager.ring(good)) > 0
+    assert manager.batches_done.total == 1
+    assert admission.inflight_requests == 0
+    if reliable:
+        assert reliability.health.state(1) is HealthState.HEALTHY
+
+
 @pytest.mark.parametrize("sliced", [False, True])
 @pytest.mark.parametrize("payload_count", [0, 3, 9])
 def test_manager_ring_rejects_mismatched_payloads_before_admission(

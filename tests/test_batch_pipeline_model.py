@@ -19,6 +19,7 @@ carries regions.
 from typing import Generator, Optional
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -553,6 +554,14 @@ def _assert_matches_oracle(scenario):
           suppress_health_check=[HealthCheck.too_slow])
 @given(_scenario)
 def test_batch_records_match_generator_oracle(scenario):
+    _assert_matches_oracle(scenario)
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_scenario)
+def test_batch_records_match_generator_oracle_deep(scenario):
     _assert_matches_oracle(scenario)
 
 

@@ -118,10 +118,24 @@ _op = st.tuples(
 )
 
 
+_ops = st.lists(_op, min_size=1, max_size=40)
+_capacity = st.integers(min_value=1, max_value=12)
+
+
 @settings(max_examples=60, deadline=None)
-@given(ops=st.lists(_op, min_size=1, max_size=40),
-       capacity=st.integers(min_value=1, max_value=12))
+@given(ops=_ops, capacity=_capacity)
 def test_cached_backend_matches_reference_model(ops, capacity):
+    _assert_matches_reference(ops, capacity)
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None)
+@given(ops=_ops, capacity=_capacity)
+def test_cached_backend_matches_reference_model_deep(ops, capacity):
+    _assert_matches_reference(ops, capacity)
+
+
+def _assert_matches_reference(ops, capacity):
     platform, spy, cached = _build(capacity)
     reference = ReferenceCache(capacity)
 

@@ -26,6 +26,7 @@ from repro.errors import (
 from repro.hw.faults import FaultInjector
 from repro.hw.platform import Platform
 from repro.reliability import Reliability
+from repro.sim.core import Process, Timeout
 
 
 def _run_batches(
@@ -198,25 +199,59 @@ def test_manager_keeps_coalesce_with_reliability():
     assert manager.coalesce is True
 
 
-def test_driver_routes_reliable_batches_through_io_batch_reliable():
-    platform = Platform(PlatformConfig(num_ssds=2), functional=False)
+def test_driver_routes_reliable_batches_through_io_batch_reliable(
+    monkeypatch,
+):
+    """Reliability does not downgrade the manager to fan-out: a
+    fault-free reliable batch walks as one record per reactor, with no
+    process and no timer but the poller's, and ``io_batch_reliable``
+    hands back the record's results."""
+    platform = Platform(PlatformConfig(num_ssds=4), functional=False)
     reliability = Reliability(platform)
     manager = CamManager(platform, reliability=reliability, coalesce=True)
-    calls = []
-    original = manager.driver.io_batch_reliable
+    driver = manager.driver
+    records = []
+    walk = driver.walk
 
-    def spy(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def spy(*args):
+        records.append(walk(*args))
+        return records[-1]
 
-    manager.driver.io_batch_reliable = spy
+    driver.walk = spy
+    spawned = []
+    timers = []
+    start_process = Process.__init__
+    start_timer = Timeout.__init__
+
+    def spawn(process, env, generator):
+        spawned.append(generator.gi_code.co_name)
+        start_process(process, env, generator)
+
+    def timer(timeout, env, delay, value=None):
+        timers.append(delay)
+        start_timer(timeout, env, delay, value)
+
+    monkeypatch.setattr(Process, "__init__", spawn)
+    monkeypatch.setattr(Timeout, "__init__", timer)
     lbas = np.arange(32, dtype=np.int64) * 8
     platform.env.run(
         manager.ring(
             BatchRequest(lbas=lbas, granularity=4096, is_write=False)
         )
     )
-    assert calls, "coalesced reliable batches must use io_batch_reliable"
+    assert manager.batches_done.total == 1
+    assert len(records) == driver.num_reactors == 2
+    assert spawned == []
+    config = manager.config
+    assert timers == [config.poll_interval / 2 + config.batch_setup_time]
+
+    items = [(index, 0, index * 8, None) for index in range(4)]
+    results = platform.env.run(
+        platform.env.process(driver.io_batch_reliable(items, 4096))
+    )
+    assert results is records[-1].results
+    assert [index for index, _ in results] == [0, 1, 2, 3]
+    assert all(cqe.ok and cqe.attempts == 1 for _, cqe in results)
 
 
 def test_io_batch_reliable_requires_bundle():

@@ -14,6 +14,7 @@ import hashlib
 from typing import Generator
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -353,10 +354,7 @@ _scenario = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(_scenario)
-def test_state_machine_matches_generator_oracle(scenario):
+def _assert_matches_oracle(scenario):
     completions, spans, events, counters = _run(scenario, oracle=False)
     (oracle_completions, oracle_spans, oracle_events,
      oracle_counters) = _run(scenario, oracle=True)
@@ -365,6 +363,21 @@ def test_state_machine_matches_generator_oracle(scenario):
     assert counters == oracle_counters
     # one process-start hop per command is the only event that went
     assert oracle_events - events == len(scenario["commands"])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_scenario)
+def test_state_machine_matches_generator_oracle(scenario):
+    _assert_matches_oracle(scenario)
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_scenario)
+def test_state_machine_matches_generator_oracle_deep(scenario):
+    _assert_matches_oracle(scenario)
 
 
 def test_oracle_sees_offline_flushes_and_faults():
