@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.config import CAMConfig
 from repro.core.autotune import CoreAutotuner
-from repro.core.control import BatchRequest, CamManager
+from repro.core.control import BatchRequest, CamManager, check_lbas
 from repro.core.regions import BatchArgs, SyncRegions
 from repro.errors import APIUsageError
 from repro.hw.gpu import GPUBuffer
@@ -208,9 +208,7 @@ class CamDeviceAPI:
     ) -> Generator:
         context = self.context
         context._check_open()
-        lbas = np.asarray(lbas, dtype=np.int64)
-        if lbas.ndim != 1 or len(lbas) == 0:
-            raise APIUsageError("LBA array must be a non-empty 1-D array")
+        lbas = np.asarray(check_lbas(lbas), dtype=np.int64)
         if len(lbas) > context.max_batch_requests:
             raise APIUsageError(
                 f"batch of {len(lbas)} exceeds max_batch_requests "

@@ -15,7 +15,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from repro.core.control import BatchRequest
+from repro.core.control import BatchRequest, check_lbas
 from repro.errors import APIUsageError
 from repro.hw.gpu import GPUBuffer
 from repro.sim.core import Event
@@ -59,9 +59,7 @@ class CamAsyncAPI:
         """
         context = self.context
         context._check_open()
-        lbas = np.asarray(lbas, dtype=np.int64)
-        if lbas.ndim != 1 or len(lbas) == 0:
-            raise APIUsageError("LBA array must be a non-empty 1-D array")
+        lbas = np.asarray(check_lbas(lbas), dtype=np.int64)
         if buffer is not None and not buffer.pinned:
             raise APIUsageError("buffer must be pinned CAM_alloc memory")
         yield self.env.timeout(context.config.doorbell_time)

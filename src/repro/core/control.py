@@ -69,6 +69,29 @@ class BatchRequest:
         return self.request_count * self.granularity
 
 
+def check_lbas(lbas) -> np.ndarray:
+    """The rule for a batch's LBAs: a non-empty 1-D array of integer
+    values.
+
+    Returns ``lbas`` as an array, not yet cast, and raises
+    :class:`~repro.errors.APIUsageError` for anything else.  The batch
+    entry points call it before they cast, since a cast to ``int64``
+    would quietly turn LBA 1.5 into 1.
+    """
+    try:
+        array = np.asarray(lbas)
+    except (TypeError, ValueError) as error:
+        raise APIUsageError(
+            f"LBAs must be a non-empty 1-D integer array: {error}"
+        ) from None
+    if array.ndim != 1 or not array.size or array.dtype.kind not in "iu":
+        raise APIUsageError(
+            f"LBAs must be a non-empty 1-D integer array, not shape "
+            f"{array.shape} of {array.dtype}"
+        )
+    return array
+
+
 class CamManager:
     """The persistent CPU thread(s) managing the SSDs for one GPU."""
 
@@ -156,13 +179,13 @@ class CamManager:
         With an admission controller attached, a batch that would push
         the manager past its in-flight bounds is shed here —
         synchronously, before the doorbell is even recorded — with a
-        typed :class:`~repro.errors.OverloadError`.  An empty batch, one
-        with a negative LBA or a request running past its SSD's last
+        typed :class:`~repro.errors.OverloadError`.  A batch whose LBAs
+        are not a non-empty 1-D integer array (see :func:`check_lbas`),
+        one with a negative LBA or a request running past its SSD's last
         block, or one whose payload list does not match its LBA count is
         rejected before that with :class:`~repro.errors.APIUsageError`.
         """
-        if batch.request_count == 0:
-            raise APIUsageError("empty batch")
+        check_lbas(batch.lbas)
         if (
             batch.payloads is not None
             and len(batch.payloads) != batch.request_count

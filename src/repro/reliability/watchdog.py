@@ -66,7 +66,15 @@ class CompletionWatchdog:
         """
         deadline = self.deadline(nbytes)
         timer = self.env.timeout(deadline)
-        yield self.env.any_of([event, timer])
+        try:
+            yield self.env.any_of([event, timer])
+        finally:
+            if event.processed and timer.callbacks is not None:
+                # the event won (a failure raises here): the timer still
+                # pops at its key, but its one callback, the race's
+                # check, is a no-op now that would pin the race, the
+                # waiter and its value until then
+                timer.callbacks.clear()
         if event.processed:
             if event.ok:
                 return event.value

@@ -10,6 +10,7 @@ reactor, so no lock is needed in the model either.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import partial
 from heapq import heappush
@@ -825,8 +826,8 @@ class _ReliableWalk(_Walk):
     * the all-done hop, pushed when the last request settles.
 
     SQEs go through the SQ ring, whose consumer wakeup stays an event;
-    a full ring is waited on before the watchdog is armed.  Each
-    request's watchdog deadline is a :class:`_Deadline` record.
+    a full ring is waited on before the watchdog is armed.  The
+    requests' watchdog deadlines ride one :class:`_DeadlineTimer`.
     Completions reach :func:`_reliable_sink`: an OK CQE settles its
     request, a failed one is re-driven by a :func:`_redrive` process
     through :meth:`~repro.reliability.Reliability.run`, as are requests
@@ -834,7 +835,7 @@ class _ReliableWalk(_Walk):
     command id to its item.
     """
 
-    __slots__ = ("outcomes", "retrying", "deadline", "put")
+    __slots__ = ("outcomes", "retrying", "deadline", "timer", "put")
 
     def __init__(self, driver, items, granularity, *args):
         super().__init__(driver, items, granularity, *args)
@@ -844,9 +845,11 @@ class _ReliableWalk(_Walk):
         #: its own attempts, so the walk's deadline stands down
         self.retrying = set()
         watchdog = driver.reliability.watchdog
-        self.deadline = (
-            None if watchdog is None else watchdog.deadline(granularity)
-        )
+        if watchdog is None:
+            self.deadline = self.timer = None
+        else:
+            self.deadline = watchdog.deadline(granularity)
+            self.timer = _DeadlineTimer(self)
         #: the SQ-ring put of ``items[position]`` while the ring is full
         self.put = None
 
@@ -855,26 +858,54 @@ class _ReliableWalk(_Walk):
         _reliable_submitted(self)
 
 
-class _Deadline(Event):
-    """The watchdog deadline of one request a reliable walk put on the
-    wire: a heap event whose expiry fails the request with a typed
-    timeout unless its first CQE has arrived."""
+class _DeadlineTimer(Event):
+    """The watchdog deadlines of one reliable walk's requests, one heap
+    entry at a time.
 
-    __slots__ = ("walk", "item")
+    Arming a deadline reserves its heap sequence number and appends
+    ``(expiry, sequence, position)`` to packed arrays.  Only the
+    earliest pending deadline is on the heap, under its reserved key;
+    its pop pushes the next one under that one's key, then fails its
+    request unless the first CQE has arrived.  A walk arms in increasing
+    ``(expiry, sequence)`` order (its deadline is fixed and time never
+    runs back), so each deadline pops where a heap entry of its own
+    would have.  Once the walk hands its results over the timer lets go
+    of it: the deadlines still pending pop as no-ops that pin nothing
+    but these arrays.
+    """
 
-    def __init__(self, walk: _ReliableWalk, item):
-        env = walk.env
-        self.env = env
-        self.callbacks = _ON_DEADLINE
+    __slots__ = ("walk", "expiries", "sequences", "positions", "head")
+
+    def __init__(self, walk: _ReliableWalk):
+        self.env = walk.env
+        #: ``_ON_DEADLINE`` while a deadline is on the heap, else None
+        self.callbacks = None
         self._ok = True
         self._value = None
         self._defused = False
+        #: the walk, until it hands its results over
         self.walk = walk
-        self.item = item
-        env._eid += 1
-        heappush(
-            env._heap, (env._now + walk.deadline, NORMAL, env._eid, self)
-        )
+        self.expiries = array("d")
+        self.sequences = array("q")
+        #: index into the walk's ``items`` of each deadline's request
+        self.positions = array("q")
+        #: the deadline on the heap, or the next one to be armed
+        self.head = 0
+
+
+def _arm(walk: _ReliableWalk, position: int) -> None:
+    """Arm the watchdog deadline of ``walk.items[position]``."""
+    timer = walk.timer
+    env = walk.env
+    env._eid += 1
+    expiry = env._now + walk.deadline
+    timer.expiries.append(expiry)
+    timer.sequences.append(env._eid)
+    timer.positions.append(position)
+    if timer.callbacks is None:
+        # none of the walk's deadlines is pending: this one goes on
+        timer.callbacks = _ON_DEADLINE
+        heappush(env._heap, (expiry, NORMAL, env._eid, timer))
 
 
 def _reliable_granted(walk: _ReliableWalk) -> None:
@@ -993,8 +1024,8 @@ def _reliable_submitted(walk: _ReliableWalk) -> None:
     deadline, then go on once its hop has popped."""
     walk.put = None
     position = walk.position
-    if walk.deadline is not None:
-        _Deadline(walk, walk.items[position])
+    if walk.timer is not None:
+        _arm(walk, position)
     position += 1
     walk.position = position
     if position == len(walk.items):
@@ -1036,10 +1067,22 @@ def _reliable_sink(walk: _ReliableWalk, cqe) -> None:
     env.process(_redrive(walk, item, cqe, hop))
 
 
-def _deadline_expired(deadline: _Deadline) -> None:
-    """Heap callback: a request's watchdog deadline passed."""
-    walk = deadline.walk
-    orig_index, ssd_index, local_lba, _ = deadline.item
+def _deadline_expired(timer: _DeadlineTimer) -> None:
+    """Heap callback: a request's watchdog deadline passed.  The next
+    pending deadline goes on the heap first, under its reserved key."""
+    head = timer.head
+    position = timer.positions[head]
+    head += 1
+    timer.head = head
+    if head < len(timer.expiries):
+        timer.callbacks = _ON_DEADLINE
+        heappush(timer.env._heap, (
+            timer.expiries[head], NORMAL, timer.sequences[head], timer,
+        ))
+    walk = timer.walk
+    if walk is None:
+        return  # the walk has handed its results over
+    orig_index, ssd_index, local_lba, _ = walk.items[position]
     if orig_index in walk.outcomes or orig_index in walk.retrying:
         return
     driver = walk.driver
@@ -1152,6 +1195,9 @@ def _reliable_done(walk: _ReliableWalk) -> None:
     driver = walk.driver
     driver.requests_done.add(completed)
     driver.bytes_done.add(completed * walk.granularity)
+    if walk.timer is not None:
+        # its deadlines still pending no longer pin the walk
+        walk.timer.walk = None
     walk.results = results
     walk.on_done(walk)
 

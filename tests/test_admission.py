@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.config import PlatformConfig
+from repro.core import CamContext
 from repro.core.control import BatchRequest, CamManager
 from repro.errors import (
     AllocationError,
@@ -199,6 +200,80 @@ def test_manager_ring_rejects_lba_past_capacity_before_admission(
     assert admission.inflight_requests == 0
     if reliable:
         assert reliability.health.state(1) is HealthState.HEALTHY
+
+
+#: LBA arrays that are not a non-empty 1-D array of integer values;
+#: all but the empty one once got past an entry point, as an untyped
+#: TypeError from ``ring`` or a cast to int64 that read LBA 1 for 1.5
+_MALFORMED_LBAS = {
+    "2-D": np.arange(4, dtype=np.int64).reshape(2, 2) * 8,
+    "fractional list": [1.5, 8.0],
+    "fractional array": np.array([1.5]),
+    "integral floats": np.array([0.0, 8.0]),
+    "booleans": np.array([True, False]),
+    "ragged": [[0, 8], [16]],
+    "empty": np.array([], dtype=np.int64),
+}
+
+#: integer lists and int32/int64 arrays stay accepted
+_WELL_FORMED_LBAS = {
+    "list": [0, 8, 16, 24],
+    "int32": np.arange(4, dtype=np.int32) * 8,
+    "int64": np.arange(4, dtype=np.int64) * 8,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MALFORMED_LBAS))
+def test_manager_ring_rejects_malformed_lba_arrays_before_admission(name):
+    platform = Platform(PlatformConfig(num_ssds=4), functional=False)
+    admission = AdmissionController(platform.env, max_inflight_requests=64)
+    manager = CamManager(platform, admission=admission)
+    bad = BatchRequest(
+        lbas=_MALFORMED_LBAS[name], granularity=4096, is_write=False,
+    )
+    with pytest.raises(APIUsageError, match="1-D integer array"):
+        manager.ring(bad)
+    assert bad.done is None
+    assert admission.inflight_requests == 0
+    assert admission.admitted_requests.total == 0
+    for count, lbas in enumerate(_WELL_FORMED_LBAS.values(), 1):
+        good = BatchRequest(lbas=lbas, granularity=4096, is_write=False)
+        assert platform.env.run(manager.ring(good)) > 0
+        assert manager.batches_done.total == count
+    assert manager.driver.requests_done.total == 12
+    assert admission.inflight_requests == 0
+
+
+@pytest.mark.parametrize("is_write", [False, True])
+@pytest.mark.parametrize("name", sorted(_MALFORMED_LBAS))
+def test_device_api_rejects_malformed_lba_arrays_before_the_doorbell(
+    name, is_write
+):
+    platform = Platform(PlatformConfig(num_ssds=4), functional=False)
+    env = platform.env
+    admission = AdmissionController(env, max_inflight_requests=64)
+    context = CamContext(platform, admission=admission)
+    api = context.device_api()
+    buffer = context.alloc(16 * 4096)
+    initiate, synchronize = (
+        (api.write_back, api.write_back_synchronize) if is_write
+        else (api.prefetch, api.prefetch_synchronize)
+    )
+
+    def kernel():
+        with pytest.raises(APIUsageError, match="1-D integer array"):
+            yield from initiate(_MALFORMED_LBAS[name], buffer)
+        # no doorbell time spent, nothing admitted
+        assert env.now == 0.0
+        assert admission.admitted_requests.total == 0
+        for lbas in _WELL_FORMED_LBAS.values():
+            yield from initiate(lbas, buffer)
+            yield from synchronize()
+
+    env.run(env.process(kernel()))
+    assert context.manager.batches_done.total == len(_WELL_FORMED_LBAS)
+    assert context.manager.driver.requests_done.total == 12
+    assert admission.inflight_requests == 0
 
 
 @pytest.mark.parametrize("sliced", [False, True])

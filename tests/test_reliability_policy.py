@@ -1,5 +1,7 @@
 """Unit tests for the reliability primitives: policy, health, watchdog."""
 
+import gc
+
 import pytest
 
 from repro.errors import (
@@ -15,7 +17,7 @@ from repro.reliability import (
     HealthTracker,
     RetryPolicy,
 )
-from repro.sim.core import Environment
+from repro.sim.core import AnyOf, Environment
 
 
 # -- RetryPolicy ---------------------------------------------------------
@@ -221,6 +223,45 @@ def test_watchdog_reraises_completion_failure():
     env.process(failer())
     with pytest.raises(DeviceError, match="boom"):
         env.run(env.process(waiter()))
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_watchdog_lets_go_of_a_settled_race(fails):
+    """Once the guarded event wins, the pending deadline still pops at
+    its key but references nothing: not the race, the waiter or its
+    value."""
+    gc.collect()
+    gc.disable()
+    try:
+        env = Environment()
+        watchdog = CompletionWatchdog(env, timeout=1e-3)
+        done = env.event()
+
+        def completer():
+            yield env.timeout(1e-5)
+            if fails:
+                done.fail(DeviceError("boom"))
+            else:
+                done.succeed("value")
+
+        def waiter():
+            try:
+                return (yield from watchdog.guard(done, description="test"))
+            except DeviceError as error:
+                return str(error)
+
+        env.process(completer())
+        outcome = env.run(env.process(waiter()))
+        assert outcome == ("boom" if fails else "value")
+        [(expiry, _, _, timer)] = env._heap
+        assert expiry == pytest.approx(1e-3)
+        assert timer.callbacks == []
+        assert not [obj for obj in gc.get_objects() if isinstance(obj, AnyOf)]
+    finally:
+        gc.enable()
+    env.run()
+    assert env.now == pytest.approx(1e-3)
+    assert watchdog.timeouts_fired == 0
 
 
 def test_watchdog_validation():

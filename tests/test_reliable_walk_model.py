@@ -17,6 +17,7 @@ process-start hops they removed: one handler start per batch and one
 walk start per group of a slice that spans several reactors.
 """
 
+import gc
 import hashlib
 import sys
 from collections import Counter
@@ -763,3 +764,157 @@ def test_full_sq_ring_waits_for_the_put_before_arming(monkeypatch):
 
     assert run(False) == run(True)
     assert waits == [0]
+
+
+# -- the deadline timer -------------------------------------------------------
+
+
+def _offline_tie_run(oracle):
+    """Four requests on an offline SSD, each deadline tied by a probe.
+
+    A probe is a ``Timeout`` of the watchdog's deadline made right after
+    a request's SQE went on the wire, so it lands on that request's
+    deadline at the same instant and priority but was created after the
+    deadline was armed: the deadline must pop first.  Nothing completes
+    on an offline SSD, so ``inflight`` counts the SQEs on the wire, and
+    each goes on in the same heap pop that arms its deadline.
+    """
+    injector = FaultInjector()
+    injector.set_offline(0)
+    platform = Platform(
+        PlatformConfig(num_ssds=1), functional=False,
+        fault_injector=injector,
+    )
+    env = platform.env
+    tracer = install_tracer(env)
+    reliability = Reliability(platform, watchdog_timeout=50e-3)
+    driver = SpdkDriver(platform, reliability=reliability)
+    watchdog = reliability.watchdog
+    deadline = watchdog.deadline(GRANULARITY)
+    queue_pair = driver._handles[0].queue_pair
+    items = [(index, 0, index * 8, None) for index in range(4)]
+    walk = (
+        oracle_io_batch_reliable(driver, items, GRANULARITY) if oracle
+        else driver.io_batch_reliable(items, GRANULARITY)
+    )
+    process = env.process(walk)
+    seen = []
+
+    def probe(_event):
+        tracer.instant("probe")
+        seen.append((
+            env.now, watchdog.timeouts_fired,
+            reliability.health.snapshot(),
+        ))
+
+    probes = 0
+    while probes < len(items):
+        env.step()
+        while probes < queue_pair.inflight:
+            probes += 1
+            Timeout(env, deadline).callbacks.append(probe)
+    results = env.run(process)
+    spans = [
+        (span.name, span.begin, sorted(span.tags.items()))
+        for span in tracer.spans()
+        if span.name in ("probe", "watchdog_timeout")
+    ]
+    outcomes = [
+        (index, type(outcome).__name__) for index, outcome in results
+    ]
+    return seen, spans, outcomes, env.events_processed, env.now
+
+
+def test_each_deadline_pops_before_a_tie_created_after_it_was_armed():
+    """Pinned tie: a deadline waiting behind an earlier one of its walk
+    keeps the heap key it was armed with, so it still pops before an
+    event created later for the same instant.  A fresh sequence number
+    on each re-push would let the probe run first."""
+    seen, spans, outcomes, events, now = _offline_tie_run(oracle=False)
+    assert (seen, spans, outcomes, events, now) == _offline_tie_run(
+        oracle=True
+    )
+    assert [fired for _, fired, _ in seen] == [1, 2, 3, 4]
+    assert [name for name, _, _ in spans] == [
+        "watchdog_timeout", "probe",
+    ] * 4
+    assert outcomes == [(index, "DeviceOfflineError") for index in range(4)]
+
+
+def _deadline_entries(env):
+    """The deadline timers on the heap, one entry each."""
+    return [
+        entry[3] for entry in env._heap
+        if isinstance(entry[3], spdk_driver._DeadlineTimer)
+    ]
+
+
+def _reliable_manager(planted):
+    """A reliable manager over 4 SSDs and 2 reactors, with one-shot
+    media faults at ``planted`` ``(ssd, lba)`` pairs."""
+    injector = FaultInjector()
+    for ssd_id, lba in planted:
+        injector.inject_lba(ssd_id, lba)
+    platform = Platform(
+        PlatformConfig(num_ssds=4), functional=False,
+        fault_injector=injector,
+    )
+    reliability = Reliability(platform, watchdog_timeout=50e-3)
+    manager = CamManager(platform, num_cores=2, reliability=reliability)
+    return platform.env, manager, reliability
+
+
+def test_a_reliable_walk_has_at_most_one_deadline_on_the_heap():
+    """Every request a walk puts on the wire arms a deadline, yet at no
+    pop does a walk have more than one of them on the heap."""
+    env, manager, reliability = _reliable_manager([(0, 8), (1, 16)])
+    batches = [
+        BatchRequest(
+            lbas=np.arange(count, dtype=np.int64) * 8,
+            granularity=GRANULARITY, is_write=is_write,
+        )
+        for count, is_write in ((256, False), (96, True))
+    ]
+    for batch in batches:
+        manager.ring(batch)
+    timers = {}
+    while env._heap:
+        env.step()
+        entries = _deadline_entries(env)
+        assert len(entries) == len({id(timer) for timer in entries})
+        for timer in entries:
+            timers[id(timer)] = timer
+    # one timer per walk: two reactors per batch
+    assert len(timers) == 2 * len(batches)
+    assert sum(len(timer.expiries) for timer in timers.values()) == 352
+    assert all(timer.walk is None for timer in timers.values())
+    assert reliability.retries.total == 2
+    assert manager.batches_done.total == len(batches)
+
+
+def test_a_finished_walk_is_freed_while_its_deadlines_are_pending():
+    """Once a batch completed, nothing holds its walks: the deadlines
+    still on the heap let go of them, and no reference cycle is left
+    for the collector (it stays off from before the run)."""
+    gc.collect()
+    gc.disable()
+    try:
+        env, manager, reliability = _reliable_manager([(0, 8), (3, 24)])
+        batch = BatchRequest(
+            lbas=np.arange(512, dtype=np.int64) * 8,
+            granularity=GRANULARITY, is_write=False,
+        )
+        env.run(manager.ring(batch))
+        assert _deadline_entries(env)
+        assert reliability.retries.total == 2
+        assert not [
+            obj for obj in gc.get_objects()
+            if isinstance(obj, spdk_driver._ReliableWalk)
+        ]
+    finally:
+        gc.enable()
+    # the deadlines still pop, as no-ops
+    finished = env.now
+    env.run()
+    assert env.now > finished + 50e-3
+    assert reliability.watchdog.timeouts_fired == 0

@@ -1,6 +1,10 @@
 """Unit tests for the statistics collectors."""
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.sim import Counter, Environment, TimeWeightedStat
 from repro.sim.stats import LatencyStat
@@ -89,3 +93,37 @@ def test_latency_empty():
     assert stat.mean() == 0.0
     assert stat.percentile(50) == 0.0
     assert stat.maximum() == 0.0
+
+
+def _reference(samples, q):
+    """What a list-based collector reports for ``samples``."""
+    if not samples:
+        return 0, 0.0, 0.0, 0.0, 0.0
+    ordered = sorted(samples)
+    rank = max(0, min(len(ordered) - 1, math.ceil(q / 100 * len(ordered)) - 1))
+    return (
+        len(samples), sum(samples), sum(samples) / len(samples),
+        ordered[rank], max(samples),
+    )
+
+
+_latencies = st.lists(
+    st.floats(min_value=0.0, max_value=1e3, allow_nan=False), max_size=200
+)
+
+
+@given(_latencies, _latencies, st.floats(min_value=0.0, max_value=100.0))
+def test_latency_stat_matches_a_list_reference(before, after, q):
+    """Packed samples report what a list of the same floats would,
+    also after a reset."""
+    stat = LatencyStat()
+    for samples in (before, after):
+        stat.reset()
+        for value in samples:
+            stat.record(value)
+        assert list(stat._samples) == samples
+        assert len(stat) == len(samples)
+        assert (
+            stat.count, stat.total(), stat.mean(), stat.percentile(q),
+            stat.maximum(),
+        ) == _reference(samples, q)
