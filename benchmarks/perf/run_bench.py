@@ -1,310 +1,131 @@
-"""Performance harness for the simulator itself.
+"""Simulated gates: five sweeps checked against the golden table.
 
-Measures three layers and writes the results to ``BENCH_perf.json``:
+Each sweep in :data:`SWEEPS` returns ``(measurements, gates)``: the
+simulated numbers it measured, and named booleans comparing them with
+the pins and bounds of ``tests/golden.py``.  Simulated quantities do not
+depend on the host, so a false gate is a changed simulation, and the
+harness exits 1.  The simulator's own speed is measured by
+``benchmarks/cambench``; nothing here reads the host clock, so two runs
+at one commit write byte-identical files.
 
-* **engine** — events/second on the core primitives (timeout chains,
-  store producer/consumer, contended resources).  These bound how large a
-  per-request experiment can get.
-* **experiments** — wall-clock per experiment id (quick mode), i.e. the
-  cost of regenerating each paper artifact.
-* **batch_sweep** — the headline number for the coalesced submission
-  path: a fig08-scale batch workload (8 SSDs, 10 doorbell batches of
-  8192 x 4 KiB reads) pushed through :class:`~repro.core.control.CamManager`
-  with ``coalesce=True`` vs the per-request fan-out path, compared
-  against the recorded pre-overhaul baseline.  The simulated end time is
-  reported alongside so a wall-clock win can never silently come from a
-  changed simulation.
-* **reliability_sweep** — the same workload with the full reliability
-  bundle attached (retries, circuit breakers, watchdog deadlines):
-  coalesced+reliability vs fan-out+reliability, pinning down that
-  keeping fault tolerance does not force the slow submission path.
-* **metrics_sweep** — the coalesced workload again with the live
-  telemetry stack attached (metrics registry + periodic sampler):
-  instrumented vs plain wall-clock, plus the proof obligation that the
-  sampler does not perturb the simulation (identical ``sim_end``).  The
-  overhead target is advisory (CI treats it as a soft failure).
-* **serving_sweep** — written to ``BENCH_serving.json``: the KV-cache
-  serving benchmark (ISSUE 7) across concurrent-session counts on CAM
-  vs BaM vs GDS with a fixed KV residency budget.  Hard gates: CAM's
-  TTFT p99 beats BaM's at the largest session count, and the
-  metrics-instrumented run is simulated-time-identical to the plain
-  run.
-* **cache_sweep** — written to ``BENCH_cache.json``: the GPU-memory
-  cache tier (ISSUE 8) on the reuse-heavy graph-sampling and serving
-  workloads, cache-off vs cache-on vs cache+readahead.  Hard gates:
-  cache+readahead CAM throughput >= cache-off CAM on both panels, and
-  the cache-off serving runs end at the exact pre-PR simulated time.
-* **disagg_sweep** — written to ``BENCH_disagg.json``: the
-  disaggregated flash tier (ISSUE 9) on the cache-friendly zipfian
-  workload, local-only vs remote-direct vs tiered, plus a fabric
-  partition under mixed traffic.  Hard gates: tiered goodput >= 80 %
-  of local-only, the partition never hangs or loses an acked write,
-  and ``batch_sweep(True)`` with the disagg stack unused replays the
-  exact pre-PR simulated history.
-* **autotune_sweep** — written to ``BENCH_autotune.json``: the fig12
-  pipeline loop across compute/I-O mixes under the closed-loop
-  :class:`~repro.core.elastic.ElasticController` vs every static core
-  count in the paper band.  Hard gates: the controller's simulated
-  throughput must match or beat the best static allocation on every
-  mix, and every sampled core count must stay inside [N/4, N/2].
+* ``batch`` — Fig. 8 scale (8 SSDs, 10 doorbell batches of 8192 x 4 KiB
+  reads) through the coalesced CAM control plane: fail-fast, with the
+  reliability bundle, and with live telemetry.  Each ends at the pinned
+  simulated instant.
+* ``autotune`` — the fig12 pipeline loop per compute/I-O mix under the
+  elastic controller vs static core counts: the controller stays in
+  the [N/4, N/2] band and reaches the best static throughput.
+* ``serving`` — KV-cache serving on CAM, BaM and GDS at 10^2-10^4
+  sessions: CAM's TTFT p99 beats BaM's at the top count, and a
+  metrics-on run ends where the plain run does.
+* ``cache`` — the GPU cache tier on the graph and serving reuse
+  workloads: cache + readahead keeps up with cache-off, and cache-off
+  serving ends at its pinned instants.
+* ``disagg`` — the remote flash tier: tiered keeps the goodput floor
+  of local-only, and a fabric partition ends every request, heals and
+  loses no acked write.
 
 Run from the repository root::
 
-    PYTHONPATH=src python benchmarks/perf/run_bench.py
+    PYTHONPATH=src python benchmarks/perf/run_bench.py --output-dir bench
+    PYTHONPATH=src python benchmarks/perf/run_bench.py --only cache --output-dir bench
 
-No third-party dependencies; everything is stdlib + the repro package.
+Each sweep writes ``DIR/BENCH_<name>.json`` as ``{sweep, commit,
+python, gates, measurements}``; the harness prints one line per gate.
+``--output-dir .`` refreshes the tracked records at the repository root.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import platform as platform_module
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
 
 from repro.config import PlatformConfig
 from repro.core.control import BatchRequest, CamManager
-from repro.experiments.registry import EXPERIMENTS, run_experiment
 from repro.hw.platform import Platform
-from repro.sim import Environment, Resource, Store
+from repro.obs import install_metrics, install_sampler
+from repro.reliability import Reliability
 
-#: pre-overhaul reference for the batch sweep below, measured on the
-#: commit preceding this harness (fan-out submission, pre-hot-path
-#: engine).  Wall-clock is machine-specific — re-measure with
-#: ``--baseline-wall`` when comparing on different hardware; the event
-#: count and simulated end time are deterministic and portable.
-BASELINE = {
-    "commit": "1ffbce6",
-    "wall_s": 8.017,
-    "events": 1474646,
-    "sim_end": 0.018738141,
+REPO = Path(__file__).resolve().parents[2]
+sys.path.insert(0, str(REPO))
+from tests.golden import GOLDEN  # noqa: E402
+
+#: the Fig. 8 scale batch workload
+FIG08 = {
+    "num_ssds": 8, "batches": 10, "requests_per_batch": 8192,
+    "granularity": 4096, "is_write": False,
 }
 
-#: the wall-clock improvement the coalesced path must hold vs BASELINE
-SPEEDUP_TARGET = 3.0
+#: simulated seconds between telemetry samples in the metrics-on run
+SAMPLER_INTERVAL = 100e-6
 
-#: the wall-clock improvement coalesced+reliability must hold over
-#: fan-out+reliability on the same workload (ISSUE 4: keeping retries,
-#: watchdogs and breakers must not force the slow submission path)
-RELIABILITY_SPEEDUP_TARGET = 2.0
-
-#: instrumented / plain wall-clock ceiling for the telemetry stack
-#: (ISSUE 5).  Advisory: the CI telemetry job soft-fails past this.
-METRICS_OVERHEAD_TARGET = 1.05
-
-#: static core counts the autotune sweep races the controller against
-#: (the paper band endpoints for 12 SSDs, plus a midpoint)
+#: static core counts the elastic controller races (the paper band
+#: endpoints for 12 SSDs, plus a midpoint), and loop iterations per mix
 AUTOTUNE_STATIC_CORES = (3, 4, 6)
+AUTOTUNE_ITERATIONS = 8
 
-#: concurrent-session points for the serving sweep (ISSUE 7); quick is
-#: the CI shape — the gate must already hold at its top point
+#: concurrent-session points of the serving sweep; the TTFT gate is
+#: read at the last one
 SERVING_SESSION_COUNTS = (100, 1000, 10000)
-SERVING_QUICK_COUNTS = (50, 150, 400)
 
-#: float slack on the autotuned >= best-static throughput gate — the
-#: tie case (identical simulated runs) must not fail on rounding
-AUTOTUNE_TOLERANCE = 1e-6
-
-#: serving session counts for the GPU-cache sweep (ISSUE 8) and the
-#: pre-PR ``sim_end`` of each cache-off CAM run, measured on commit
-#: 784ef20 — cache-off must stay bit-identical to the pre-cache build
-CACHE_SERVING_SESSIONS = (100, 250)
-CACHE_OFF_SIM_END = {
-    100: 0.14012175802083016,
-    250: 0.17987053305953946,
-}
-
-#: GPU cache size for the serving points (64 KiB KV-block lines)
+#: GPU cache size for the serving points of the cache sweep (64 KiB
+#: KV-block lines)
 CACHE_GPU_BLOCKS = 2048
 
-#: tiered goodput floor vs local-only on the cache-friendly disagg
-#: workload (ISSUE 9): the write-back tier must recover at least this
-#: fraction of direct-attached goodput
-DISAGG_GOODPUT_FLOOR = 0.80
 
-#: pre-PR simulated end time of ``batch_sweep(True)`` (commit 295ed5b)
-#: — with repro.net unused, the disagg machinery must be a pure
-#: bystander: the local control plane replays bit-identically
-DISAGG_UNUSED_SIM_END = 0.018738140996340358
-
-
-def _best_of(rounds, fn):
-    best = None
-    for _ in range(rounds):
-        sample = fn()
-        if best is None or sample[0] < best[0]:
-            best = sample
-    return best
-
-
-# -- engine primitives -----------------------------------------------------
-
-def bench_timeout_chain(n=200_000):
-    env = Environment()
-
-    def ticker():
-        for _ in range(n):
-            yield env.timeout(1.0)
-
-    proc = env.process(ticker())
-    t0 = time.perf_counter()
-    env.run(proc)
-    return time.perf_counter() - t0, env.events_processed, n
-
-
-def bench_store_pingpong(n=100_000):
-    env = Environment()
-    store = Store(env, capacity=64)
-
-    def producer():
-        for item in range(n):
-            yield store.put(item)
-
-    def consumer():
-        for _ in range(n):
-            yield store.get()
-
-    env.process(producer())
-    env.process(consumer())
-    t0 = time.perf_counter()
-    env.run()
-    # ops = puts + gets; most are satisfied synchronously (born-processed
-    # events), so heap-event counts alone undersell this path
-    return time.perf_counter() - t0, env.events_processed, 2 * n
-
-
-def bench_resource_contention(users=64, iterations=2_000):
-    env = Environment()
-    resource = Resource(env, capacity=4)
-
-    def user():
-        for _ in range(iterations):
-            with resource.request() as req:
-                yield req
-                yield env.timeout(0.1)
-
-    for _ in range(users):
-        env.process(user())
-    t0 = time.perf_counter()
-    env.run()
-    return time.perf_counter() - t0, env.events_processed, users * iterations
-
-
-ENGINE_BENCHES = {
-    "timeout_chain": bench_timeout_chain,
-    "store_pingpong": bench_store_pingpong,
-    "resource_contention": bench_resource_contention,
-}
-
-
-# -- the coalesced-submission headline ------------------------------------
-
-def batch_sweep(coalesce, num_ssds=8, batches=10, requests=8192,
-                granularity=4096):
-    """Fig08-scale read batches through the CAM control plane."""
-    platform = Platform(PlatformConfig(num_ssds=num_ssds), functional=False)
-    manager = CamManager(platform, coalesce=coalesce)
-    env = platform.env
-    t0 = time.perf_counter()
-    for index in range(batches):
-        lbas = (np.arange(requests, dtype=np.int64) * 3 + index) % (1 << 20)
-        env.run(
-            manager.ring(
-                BatchRequest(
-                    lbas=lbas, granularity=granularity, is_write=False
-                )
-            )
-        )
-    return time.perf_counter() - t0, env.events_processed, env.now
-
-
-def batch_sweep_reliable(coalesce, num_ssds=8, batches=10, requests=8192,
-                         granularity=4096):
-    """The same fig08-scale workload with the full reliability bundle
-    attached (retries + circuit breakers + per-request watchdog
-    deadlines) — the ISSUE 4 hot-path-with-reliability headline."""
-    from repro.reliability import Reliability
-
-    platform = Platform(PlatformConfig(num_ssds=num_ssds), functional=False)
-    reliability = Reliability(platform)
+def _fig08_run(reliable=False, metrics=False):
+    platform = Platform(
+        PlatformConfig(num_ssds=FIG08["num_ssds"]), functional=False
+    )
     manager = CamManager(
-        platform, coalesce=coalesce, reliability=reliability
+        platform, reliability=Reliability(platform) if reliable else None
     )
     env = platform.env
-    t0 = time.perf_counter()
-    for index in range(batches):
-        lbas = (np.arange(requests, dtype=np.int64) * 3 + index) % (1 << 20)
-        env.run(
-            manager.ring(
-                BatchRequest(
-                    lbas=lbas, granularity=granularity, is_write=False
-                )
-            )
+    if metrics:
+        sampler = install_sampler(
+            install_metrics(env), manager=manager, interval=SAMPLER_INTERVAL
         )
-    return time.perf_counter() - t0, env.events_processed, env.now
-
-
-def batch_sweep_instrumented(coalesce=True, num_ssds=8, batches=10,
-                             requests=8192, granularity=4096,
-                             interval=100e-6):
-    """The fig08-scale workload with the ISSUE 5 telemetry stack live:
-    metrics registry installed on the environment, hot paths pushing
-    counters/histograms, and a :class:`~repro.obs.MetricsSampler`
-    polling queue depths and busy fractions every ``interval`` sim
-    seconds.  Same return shape as :func:`batch_sweep` so the two are
-    directly comparable."""
-    from repro.obs import install_metrics, install_sampler
-
-    platform = Platform(PlatformConfig(num_ssds=num_ssds), functional=False)
-    manager = CamManager(platform, coalesce=coalesce)
-    env = platform.env
-    metrics = install_metrics(env)
-    sampler = install_sampler(metrics, manager=manager, interval=interval)
-    t0 = time.perf_counter()
-    for index in range(batches):
+    requests = FIG08["requests_per_batch"]
+    for index in range(FIG08["batches"]):
         lbas = (np.arange(requests, dtype=np.int64) * 3 + index) % (1 << 20)
-        env.run(
-            manager.ring(
-                BatchRequest(
-                    lbas=lbas, granularity=granularity, is_write=False
-                )
-            )
-        )
-    wall = time.perf_counter() - t0
-    sampler.stop()
-    return wall, env.events_processed, env.now
+        env.run(manager.ring(BatchRequest(
+            lbas=lbas, granularity=FIG08["granularity"],
+            is_write=FIG08["is_write"],
+        )))
+    if metrics:
+        sampler.stop()
+    return {"events": env.events_processed, "sim_end": env.now}
 
 
-# -- the elastic autotune sweep (fig12 closed-loop) -------------------------
+def batch():
+    runs = {
+        "fail_fast": _fig08_run(),
+        "reliable": _fig08_run(reliable=True),
+        "metrics": _fig08_run(metrics=True),
+    }
+    pin = GOLDEN["fig08_batch_sim_end"].value
+    gates = {
+        f"{name}_sim_end_pinned": run["sim_end"] == pin
+        for name, run in runs.items()
+    }
+    measurements = {
+        "workload": FIG08, "sampler_interval_s": SAMPLER_INTERVAL, **runs,
+    }
+    return measurements, gates
 
-def autotune_sweep(iterations=8):
-    """Race the elastic controller against static core counts per mix.
 
-    For each compute/I-O mix in
-    :data:`repro.experiments.extras.ELASTIC_MIXES`, runs the same fig12
-    pipeline loop under the closed-loop controller and under each static
-    allocation in :data:`AUTOTUNE_STATIC_CORES`, comparing *simulated*
-    throughput (bytes / simulated seconds — wall-clock noise cannot
-    decide this gate).  Also integrates active cores over time: the
-    controller's win is equal throughput at fewer core-seconds.
-    """
+def autotune():
     from repro.experiments.extras import ELASTIC_MIXES, _elastic_loop
 
-    mixes = {}
-    all_met = True
+    tolerance = GOLDEN["autotune_tolerance"].value
+    mixes, gates = {}, {}
     for mix, compute_time in ELASTIC_MIXES:
-        t0 = time.perf_counter()
-        out = _elastic_loop(compute_time, iterations)
-        harness_wall = time.perf_counter() - t0
-        lo, hi = out["bounds"]
-        in_band = (
-            lo <= out["min_cores_seen"] <= out["max_cores_seen"] <= hi
-        )
+        out = _elastic_loop(compute_time, AUTOTUNE_ITERATIONS)
         elastic = {
             "sim_s": out["wall"],
             "throughput_bytes_per_s": out["bytes"] / out["wall"],
@@ -313,69 +134,49 @@ def autotune_sweep(iterations=8):
             "max_cores_seen": out["max_cores_seen"],
             "core_seconds": round(out["core_seconds"], 9),
             "resizes": out["resizes"],
-            "in_band": in_band,
         }
         statics = {}
         for cores in AUTOTUNE_STATIC_CORES:
-            sout = _elastic_loop(
-                compute_time, iterations,
+            static = _elastic_loop(
+                compute_time, AUTOTUNE_ITERATIONS,
                 controller=False, static_cores=cores,
             )
             statics[str(cores)] = {
-                "sim_s": sout["wall"],
-                "throughput_bytes_per_s": sout["bytes"] / sout["wall"],
-                "core_seconds": round(sout["core_seconds"], 9),
+                "sim_s": static["wall"],
+                "throughput_bytes_per_s": static["bytes"] / static["wall"],
+                "core_seconds": round(static["core_seconds"], 9),
             }
-        best_static = max(
-            statics.values(), key=lambda s: s["throughput_bytes_per_s"]
-        )
-        best = best_static["throughput_bytes_per_s"]
-        met = (
-            in_band
-            and elastic["throughput_bytes_per_s"]
-            >= best * (1 - AUTOTUNE_TOLERANCE)
-        )
-        all_met = all_met and met
+        best = max(s["throughput_bytes_per_s"] for s in statics.values())
+        most_cores = statics[str(max(AUTOTUNE_STATIC_CORES))]
         mixes[mix] = {
             "compute_time_s": compute_time,
-            "harness_wall_s": round(harness_wall, 3),
+            "band": list(out["bounds"]),
             "elastic": elastic,
             "static": statics,
             "best_static_throughput_bytes_per_s": best,
             "core_seconds_saved_vs_static_max": round(
-                statics[str(max(AUTOTUNE_STATIC_CORES))]["core_seconds"]
-                - elastic["core_seconds"], 9,
+                most_cores["core_seconds"] - elastic["core_seconds"], 9
             ),
-            "target_met": met,
         }
-    return {
+        lo, hi = out["bounds"]
+        gates[f"{mix}.in_band"] = (
+            lo <= elastic["min_cores_seen"] <= elastic["max_cores_seen"] <= hi
+        )
+        gates[f"{mix}.reaches_best_static"] = (
+            elastic["throughput_bytes_per_s"] >= best * (1 - tolerance)
+        )
+    measurements = {
         "workload": {
-            "num_ssds": 12, "iterations": iterations,
+            "num_ssds": 12, "iterations": AUTOTUNE_ITERATIONS,
             "requests_per_batch": 2048, "granularity": 4096,
             "static_cores": list(AUTOTUNE_STATIC_CORES),
         },
-        "band": [3, 6],
-        "tolerance": AUTOTUNE_TOLERANCE,
         "mixes": mixes,
-        "target_met": all_met,
     }
+    return measurements, gates
 
 
-def serving_sweep(session_counts=SERVING_SESSION_COUNTS):
-    """The KV-cache serving benchmark: CAM vs BaM vs GDS TTFT tails.
-
-    For each session count, serves the same deterministic session pool
-    (seed-pinned arrivals, think times, context/decode lengths) over
-    each backend with a fixed KV residency budget, so memory pressure
-    grows with concurrency and evicted blocks must be prefetched from
-    SSD on the turn's critical path — unless the backend's API is
-    asynchronous (CAM), which overlaps the load with prefill compute.
-
-    Hard gates: CAM's TTFT p99 beats BaM's at the largest session
-    count, and a metrics-instrumented CAM run ends at the exact same
-    simulated time as the plain run (telemetry observes, never
-    perturbs).
-    """
+def serving():
     from repro.experiments.serving import (
         CAPACITY_BLOCKS,
         MAX_CONCURRENT_DECODES,
@@ -385,13 +186,11 @@ def serving_sweep(session_counts=SERVING_SESSION_COUNTS):
     )
 
     points = []
-    for num_sessions in session_counts:
-        row = {"sessions": num_sessions, "backends": {}}
+    for sessions in SERVING_SESSION_COUNTS:
+        cells = {}
         for name in ("cam", "bam", "gds"):
-            t0 = time.perf_counter()
-            run, sim_end = serve_once(name, num_sessions)
-            row["backends"][name] = {
-                "wall_s": round(time.perf_counter() - t0, 3),
+            run, sim_end = serve_once(name, sessions)
+            cells[name] = {
                 "sim_s": run.elapsed_s,
                 "sim_end": sim_end,
                 "ttft_p50_ms": round(run.ttft_p50 * 1e3, 4),
@@ -401,54 +200,39 @@ def serving_sweep(session_counts=SERVING_SESSION_COUNTS):
                 "kv_evictions": run.kv_evictions,
                 "overload_retries": run.overload_retries,
             }
-        points.append(row)
-
-    top = points[-1]["backends"]
-    cam_beats_bam = top["cam"]["ttft_p99_ms"] < top["bam"]["ttft_p99_ms"]
-
-    # telemetry differential: the instrumented run must replay the
-    # plain run's simulated history exactly
-    diff_sessions = session_counts[0]
-    _, end_plain = serve_once("cam", diff_sessions)
-    _, end_instrumented = serve_once("cam", diff_sessions, metrics=True)
-    metrics_identical = end_plain == end_instrumented
-
-    return {
+        points.append({"sessions": sessions, "backends": cells})
+    # telemetry observes, never perturbs: a metrics-on run replays the
+    # plain run of the first point
+    first = points[0]
+    _, instrumented = serve_once("cam", first["sessions"], metrics=True)
+    plain = first["backends"]["cam"]["sim_end"]
+    top = points[-1]
+    gates = {
+        f"cam_ttft_p99_beats_bam_at_{top['sessions']}": (
+            top["backends"]["cam"]["ttft_p99_ms"]
+            < top["backends"]["bam"]["ttft_p99_ms"]
+        ),
+        "metrics_sim_end_identical": instrumented == plain,
+    }
+    measurements = {
         "workload": {
             "num_ssds": NUM_SSDS,
             "capacity_blocks": CAPACITY_BLOCKS,
             "max_concurrent_decodes": MAX_CONCURRENT_DECODES,
-            "session_counts": list(session_counts),
+            "session_counts": list(SERVING_SESSION_COUNTS),
             **SESSION_KWARGS,
         },
         "points": points,
-        "cam_ttft_p99_beats_bam_at_top": cam_beats_bam,
         "metrics_differential": {
-            "sessions": diff_sessions,
-            "sim_end_plain": end_plain,
-            "sim_end_instrumented": end_instrumented,
-            "identical": metrics_identical,
+            "sessions": first["sessions"],
+            "sim_end_plain": plain,
+            "sim_end_instrumented": instrumented,
         },
-        "target_met": cam_beats_bam and metrics_identical,
     }
+    return measurements, gates
 
 
-def cache_sweep():
-    """The GPU-cache tier on the reuse-heavy workloads (ISSUE 8).
-
-    Two panels, three modes each (``off`` / ``cache`` / ``cache+ra``):
-
-    * **graph** — power-law feature extraction through the CAM plane;
-      throughput is *demand* feature bytes over simulated seconds, so
-      wasted speculation shows up as a loss, not a gain;
-    * **serving** — the KV-cache serving scenario with a GPU cache in
-      front of the prefetch path.
-
-    Hard gates: cache+readahead CAM throughput >= cache-off CAM on
-    both panels, and every cache-off serving run ends at the exact
-    pre-PR simulated time (:data:`CACHE_OFF_SIM_END`) — the cache tier
-    must be a pure no-op when not constructed.
-    """
+def cache():
     from repro.experiments.gpucache import (
         FEATURE_BYTES,
         GRAPH_KWARGS,
@@ -458,98 +242,60 @@ def cache_sweep():
 
     graph = {}
     for mode in ("off", "cache", "cache+ra"):
-        t0 = time.perf_counter()
         summary, sim_end = graph_cache_once(mode)
         graph[mode] = {
-            "wall_s": round(time.perf_counter() - t0, 3),
             "sim_end": sim_end,
             "bytes_per_s": round(summary["bytes_per_s"], 1),
             "hit_rate": round(summary["hit_rate"], 4),
             "readahead_issued": summary["readahead_issued"],
             "readahead_used": summary["readahead_used"],
-            "readahead_accuracy": round(
-                summary["readahead_accuracy"], 4
-            ),
+            "readahead_accuracy": round(summary["readahead_accuracy"], 4),
         }
-    graph_gate = (
-        graph["cache+ra"]["bytes_per_s"] >= graph["off"]["bytes_per_s"]
-    )
-
-    serving_points = []
-    serving_gate = True
-    bit_identical = True
-    for sessions in CACHE_SERVING_SESSIONS:
-        row = {"sessions": sessions, "modes": {}}
+    gates = {
+        "graph_readahead_ge_off": (
+            graph["cache+ra"]["bytes_per_s"] >= graph["off"]["bytes_per_s"]
+        ),
+    }
+    points = []
+    for sessions, pin in GOLDEN["serving_cache_off_sim_end"].value.items():
+        modes = {}
         for mode, kwargs in (
             ("off", {}),
-            ("cache", dict(gpu_cache_blocks=CACHE_GPU_BLOCKS,
-                           readahead=False)),
-            ("cache+ra", dict(gpu_cache_blocks=CACHE_GPU_BLOCKS,
-                              readahead=True)),
+            ("cache", {"gpu_cache_blocks": CACHE_GPU_BLOCKS,
+                       "readahead": False}),
+            ("cache+ra", {"gpu_cache_blocks": CACHE_GPU_BLOCKS,
+                          "readahead": True}),
         ):
-            t0 = time.perf_counter()
             run, sim_end = serve_once("cam", sessions, **kwargs)
-            row["modes"][mode] = {
-                "wall_s": round(time.perf_counter() - t0, 3),
+            modes[mode] = {
                 "sim_end": sim_end,
                 "tokens_per_s": round(run.tokens_per_s, 1),
                 "ttft_p99_ms": round(run.ttft_p99 * 1e3, 4),
                 "kv_hit_rate": round(run.kv_hit_rate, 4),
             }
-        identical = (
-            row["modes"]["off"]["sim_end"] == CACHE_OFF_SIM_END[sessions]
+        points.append({"sessions": sessions, "modes": modes})
+        gates[f"serving_readahead_ge_off.{sessions}"] = (
+            modes["cache+ra"]["tokens_per_s"] >= modes["off"]["tokens_per_s"]
         )
-        row["cache_off_sim_end_expected"] = CACHE_OFF_SIM_END[sessions]
-        row["cache_off_sim_end_identical"] = identical
-        bit_identical = bit_identical and identical
-        serving_gate = serving_gate and (
-            row["modes"]["cache+ra"]["tokens_per_s"]
-            >= row["modes"]["off"]["tokens_per_s"]
-        )
-        serving_points.append(row)
-
-    return {
+        gates[f"off_sim_end_pinned.{sessions}"] = modes["off"]["sim_end"] == pin
+    measurements = {
         "graph_workload": {
-            **GRAPH_KWARGS,
-            "feature_bytes": FEATURE_BYTES,
-            "points": graph,
+            **GRAPH_KWARGS, "feature_bytes": FEATURE_BYTES, "points": graph,
         },
         "serving_workload": {
-            "gpu_cache_blocks": CACHE_GPU_BLOCKS,
-            "points": serving_points,
+            "gpu_cache_blocks": CACHE_GPU_BLOCKS, "points": points,
         },
-        "graph_readahead_beats_off": graph_gate,
-        "serving_readahead_beats_off": serving_gate,
-        "cache_off_bit_identical": bit_identical,
-        "target_met": graph_gate and serving_gate and bit_identical,
     }
+    return measurements, gates
 
 
-def disagg_sweep():
-    """The disaggregated flash tier (ISSUE 9): three hard gates.
-
-    * **goodput** — on the cache-friendly zipfian workload the
-      write-back tier must keep >= :data:`DISAGG_GOODPUT_FLOOR` of the
-      local-only (direct-attached) goodput; the fabric may only tax
-      misses and batched write-backs.
-    * **partition** — a 1 ms full fabric partition under closed-loop
-      mixed traffic: every request completes or fails typed (no
-      hangs), the tier heals, the post-heal resync drains the dirty
-      log, and a remote read-back of every acked write finds no lost
-      or stale data.
-    * **bystander** — ``batch_sweep(True)`` with the disagg stack
-      merely importable must end at the exact pre-PR simulated time.
-    """
+def disagg():
     from repro.experiments.disagg import WORKLOAD, disagg_goodput
     from repro.experiments.extras import _chaos_disagg
 
-    t0 = time.perf_counter()
     rates = disagg_goodput(quick=True)
-    goodput_wall = round(time.perf_counter() - t0, 3)
     local = rates["local-only"]["gb_per_s"]
     ratio = rates["tiered"]["gb_per_s"] / local if local else 0.0
-    goodput_gate = ratio >= DISAGG_GOODPUT_FLOOR
-
     out = _chaos_disagg(requests=160, partition=(0.5e-3, 1.0e-3))
     partition = {
         key: out[key] for key in (
@@ -559,405 +305,73 @@ def disagg_sweep():
         )
     }
     partition["error_types"] = sorted(out["error_types"])
-    partition_gate = (
-        out["ok"] + out["errors"] == out["offered"]
-        and out["degraded_entries"] >= 1
-        and out["dirty_after"] == 0
-        and out["healed"]
-        and out["verify_failures"] == 0
-        and out["readback_failures"] == 0
-    )
-
-    _, _, sim_end = batch_sweep(True)
-    bystander = sim_end == DISAGG_UNUSED_SIM_END
-
-    return {
+    gates = {
+        "tiered_goodput_above_floor": (
+            ratio >= GOLDEN["disagg_goodput_floor"].value
+        ),
+        "partition_ends_heals_loses_nothing": (
+            out["ok"] + out["errors"] == out["offered"]
+            and out["degraded_entries"] >= 1
+            and out["dirty_after"] == 0
+            and out["healed"]
+            and out["verify_failures"] == 0
+            and out["readback_failures"] == 0
+        ),
+    }
+    measurements = {
         "workload": dict(WORKLOAD),
-        "goodput_wall_s": goodput_wall,
         "configs": rates,
         "tiered_vs_local": round(ratio, 4),
-        "goodput_floor": DISAGG_GOODPUT_FLOOR,
-        "goodput_gate_met": goodput_gate,
         "partition": partition,
-        "partition_gate_met": partition_gate,
-        "bystander": {
-            "sim_end": sim_end,
-            "expected": DISAGG_UNUSED_SIM_END,
-            "identical": bystander,
-        },
-        "target_met": goodput_gate and partition_gate and bystander,
     }
+    return measurements, gates
 
 
-# -- harness ---------------------------------------------------------------
+SWEEPS = {
+    "batch": batch,
+    "autotune": autotune,
+    "serving": serving,
+    "cache": cache,
+    "disagg": disagg,
+}
 
-def _git_commit():
+
+def _commit():
     try:
         return subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty"], cwd=REPO,
             capture_output=True, text=True, check=True, timeout=10,
         ).stdout.strip()
-    except Exception:
+    except (OSError, subprocess.SubprocessError):
         return None
 
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--output", default="BENCH_perf.json",
-        help="where to write the results (default: ./BENCH_perf.json)",
+        "--only", choices=list(SWEEPS), metavar="NAME",
+        help=f"run one sweep: {', '.join(SWEEPS)} (default: all)",
     )
     parser.add_argument(
-        "--rounds", type=int, default=3,
-        help="best-of-N rounds for wall-clock numbers (default 3)",
-    )
-    parser.add_argument(
-        "--skip-experiments", action="store_true",
-        help="skip the per-experiment wall-clock section",
-    )
-    parser.add_argument(
-        "--baseline-wall", type=float, default=None,
-        help="override the recorded pre-overhaul wall seconds "
-        "(re-measure on this machine with the baseline commit)",
-    )
-    parser.add_argument(
-        "--autotune-output", default="BENCH_autotune.json",
-        help="where to write the elastic autotune sweep "
-        "(default: ./BENCH_autotune.json)",
-    )
-    parser.add_argument(
-        "--only-autotune", action="store_true",
-        help="run only the elastic autotune sweep (the CI autotune job)",
-    )
-    parser.add_argument(
-        "--serving-output", default="BENCH_serving.json",
-        help="where to write the KV-cache serving sweep "
-        "(default: ./BENCH_serving.json)",
-    )
-    parser.add_argument(
-        "--only-serving", action="store_true",
-        help="run only the KV-cache serving sweep (the CI serving job)",
-    )
-    parser.add_argument(
-        "--serving-quick", action="store_true",
-        help="reduced serving session counts "
-        f"{SERVING_QUICK_COUNTS} instead of {SERVING_SESSION_COUNTS}",
-    )
-    parser.add_argument(
-        "--cache-output", default="BENCH_cache.json",
-        help="where to write the GPU-cache sweep "
-        "(default: ./BENCH_cache.json)",
-    )
-    parser.add_argument(
-        "--only-cache", action="store_true",
-        help="run only the GPU-cache sweep (the CI cache job)",
-    )
-    parser.add_argument(
-        "--disagg-output", default="BENCH_disagg.json",
-        help="where to write the disaggregated-tier sweep "
-        "(default: ./BENCH_disagg.json)",
-    )
-    parser.add_argument(
-        "--only-disagg", action="store_true",
-        help="run only the disaggregated-tier sweep (the CI disagg job)",
+        "--output-dir", required=True, type=Path, metavar="DIR",
+        help="write BENCH_<sweep>.json here and nowhere else",
     )
     args = parser.parse_args(argv)
-
-    def run_autotune():
-        print("== autotune sweep (12 SSDs, elastic vs static cores) ==")
-        auto = autotune_sweep()
-        for mix, cell in auto["mixes"].items():
-            elastic = cell["elastic"]
-            print(
-                f"  {mix:14s} elastic {elastic['throughput_bytes_per_s'] / 1e9:6.2f} "
-                f"GB/s @ cores {elastic['min_cores_seen']}..."
-                f"{elastic['max_cores_seen']} | best static "
-                f"{cell['best_static_throughput_bytes_per_s'] / 1e9:6.2f} GB/s "
-                f"| saved {cell['core_seconds_saved_vs_static_max'] * 1e3:.2f} "
-                f"core-ms (met: {cell['target_met']})"
-            )
-        print(f"  autotuned >= best static and in-band everywhere: "
-              f"{auto['target_met']}")
-        auto_output = Path(args.autotune_output)
-        auto_output.write_text(json.dumps(auto, indent=2) + "\n")
-        print(f"wrote {auto_output}")
-        return auto
-
-    def run_serving():
-        counts = (
-            SERVING_QUICK_COUNTS if args.serving_quick
-            else SERVING_SESSION_COUNTS
-        )
-        print(f"== serving sweep (KV cache on SSD, sessions {counts}) ==")
-        serving = serving_sweep(counts)
-        for point in serving["points"]:
-            cells = "  ".join(
-                f"{name} p99={cell['ttft_p99_ms']:8.2f} ms"
-                for name, cell in point["backends"].items()
-            )
-            print(f"  {point['sessions']:6d} sessions  {cells}")
-        print(f"  cam p99 < bam p99 at top count: "
-              f"{serving['cam_ttft_p99_beats_bam_at_top']}")
-        print(f"  metrics-on sim_end identical: "
-              f"{serving['metrics_differential']['identical']}")
-        serving_output = Path(args.serving_output)
-        serving_output.write_text(json.dumps(serving, indent=2) + "\n")
-        print(f"wrote {serving_output}")
-        return serving
-
-    def run_cache():
-        print("== cache sweep (GPU cache tier + readahead) ==")
-        cache = cache_sweep()
-        for mode, cell in cache["graph_workload"]["points"].items():
-            print(
-                f"  graph {mode:9s} {cell['bytes_per_s'] / 1e9:6.2f} "
-                f"GB/s  hit {cell['hit_rate']:6.1%}  readahead "
-                f"{cell['readahead_used']}/{cell['readahead_issued']}"
-            )
-        for point in cache["serving_workload"]["points"]:
-            cells = "  ".join(
-                f"{mode} {cell['tokens_per_s']:9.1f} tok/s"
-                for mode, cell in point["modes"].items()
-            )
-            print(f"  serve {point['sessions']:4d} sessions  {cells}")
-        print(f"  cache+ra >= off (graph): "
-              f"{cache['graph_readahead_beats_off']}")
-        print(f"  cache+ra >= off (serving): "
-              f"{cache['serving_readahead_beats_off']}")
-        print(f"  cache-off bit-identical to pre-PR: "
-              f"{cache['cache_off_bit_identical']}")
-        cache_output = Path(args.cache_output)
-        cache_output.write_text(json.dumps(cache, indent=2) + "\n")
-        print(f"wrote {cache_output}")
-        return cache
-
-    def run_disagg_bench():
-        print("== disagg sweep (remote flash tier, 2 replica nodes) ==")
-        disagg = disagg_sweep()
-        for config, cell in disagg["configs"].items():
-            print(
-                f"  {config:14s} {cell['gb_per_s']:6.2f} GB/s  "
-                f"hit {cell['hit_rate']:6.1%}  p99 {cell['p99_us']:7.1f} us"
-            )
-        print(f"  tiered/local: {disagg['tiered_vs_local']} "
-              f"(floor {disagg['goodput_floor']}, met: "
-              f"{disagg['goodput_gate_met']})")
-        part = disagg["partition"]
-        print(f"  partition: {part['ok']}/{part['offered']} ok, "
-              f"{part['errors']} typed errors, resyncs {part['resyncs']}, "
-              f"dirty after {part['dirty_after']}, readback failures "
-              f"{part['readback_failures']} (met: "
-              f"{disagg['partition_gate_met']})")
-        print(f"  unused-stack sim_end identical: "
-              f"{disagg['bystander']['identical']}")
-        disagg_output = Path(args.disagg_output)
-        disagg_output.write_text(json.dumps(disagg, indent=2) + "\n")
-        print(f"wrote {disagg_output}")
-        return disagg
-
-    if args.only_autotune:
-        return 0 if run_autotune()["target_met"] else 1
-
-    if args.only_disagg:
-        return 0 if run_disagg_bench()["target_met"] else 1
-
-    if args.only_serving:
-        return 0 if run_serving()["target_met"] else 1
-
-    if args.only_cache:
-        return 0 if run_cache()["target_met"] else 1
-
-    results = {
-        "meta": {
-            "python": sys.version.split()[0],
-            "platform": platform_module.platform(),
-            "commit": _git_commit(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "rounds": args.rounds,
-        },
-        "engine": {},
-        "experiments": {},
-        "batch_sweep": {},
-    }
-
-    print("== engine primitives ==")
-    for name, bench in ENGINE_BENCHES.items():
-        wall, events, ops = _best_of(args.rounds, bench)
-        results["engine"][name] = {
-            "wall_s": round(wall, 4),
-            "events": events,
-            "ops": ops,
-            "ops_per_sec": round(ops / wall) if wall > 0 else 0,
-            "events_per_sec": round(events / wall) if wall > 0 else 0,
+    args.output_dir.mkdir(parents=True, exist_ok=True)
+    stamp = {"commit": _commit(), "python": sys.version.split()[0]}
+    passed = True
+    for name in [args.only] if args.only else SWEEPS:
+        measurements, gates = SWEEPS[name]()
+        for gate, ok in gates.items():
+            print(f"{name}.{gate}: {ok}")
+            passed = passed and ok
+        record = {
+            "sweep": name, **stamp, "gates": gates,
+            "measurements": measurements,
         }
-        print(f"  {name:24s} {ops / wall / 1e6:7.2f} M ops/s "
-              f"({events} heap events)")
-
-    if not args.skip_experiments:
-        print("== experiments (quick) ==")
-        for exp_id in EXPERIMENTS:
-            t0 = time.perf_counter()
-            run_experiment(exp_id, quick=True)
-            wall = time.perf_counter() - t0
-            results["experiments"][exp_id] = {"wall_s": round(wall, 3)}
-            print(f"  {exp_id:8s} {wall:6.2f} s")
-
-    print("== batch sweep (8 SSDs, 10 x 8192 reads, 4 KiB) ==")
-    co_wall, co_events, co_end = _best_of(
-        args.rounds, lambda: batch_sweep(True)
-    )
-    fan_wall, fan_events, fan_end = _best_of(
-        args.rounds, lambda: batch_sweep(False)
-    )
-    baseline = dict(BASELINE)
-    if args.baseline_wall is not None:
-        baseline["wall_s"] = args.baseline_wall
-        baseline["commit"] = f"{baseline['commit']} (wall re-measured)"
-    sweep = {
-        "workload": {
-            "num_ssds": 8, "batches": 10, "requests_per_batch": 8192,
-            "granularity": 4096, "is_write": False,
-        },
-        "coalesced": {
-            "wall_s": round(co_wall, 3),
-            "events": co_events,
-            "sim_end": co_end,
-        },
-        "fanout": {
-            "wall_s": round(fan_wall, 3),
-            "events": fan_events,
-            "sim_end": fan_end,
-        },
-        "baseline": baseline,
-        "speedup_vs_baseline": round(baseline["wall_s"] / co_wall, 2),
-        "speedup_vs_fanout": round(fan_wall / co_wall, 2),
-        "event_reduction_vs_baseline": round(
-            1 - co_events / baseline["events"], 3
-        ),
-        "speedup_target": SPEEDUP_TARGET,
-    }
-    # coalesced vs fanout must agree to full float precision; the
-    # recorded baseline constant is rounded to 9 decimals
-    identical = (
-        co_end == fan_end
-        and round(co_end, 9) == baseline["sim_end"]
-    )
-    sweep["sim_end_identical"] = identical
-    sweep["target_met"] = (
-        identical and sweep["speedup_vs_baseline"] >= SPEEDUP_TARGET
-    )
-    results["batch_sweep"] = sweep
-    print(f"  coalesced {co_wall:6.2f} s  {co_events} events")
-    print(f"  fanout    {fan_wall:6.2f} s  {fan_events} events")
-    print(f"  baseline  {baseline['wall_s']:6.2f} s  "
-          f"{baseline['events']} events ({baseline['commit']})")
-    print(f"  speedup vs baseline: {sweep['speedup_vs_baseline']}x "
-          f"(target {SPEEDUP_TARGET}x, met: {sweep['target_met']})")
-    print(f"  sim_end identical: {identical}")
-
-    print("== reliability sweep (same workload, retries+watchdog on) ==")
-    rco_wall, rco_events, rco_end = _best_of(
-        args.rounds, lambda: batch_sweep_reliable(True)
-    )
-    rfan_wall, rfan_events, rfan_end = _best_of(
-        args.rounds, lambda: batch_sweep_reliable(False)
-    )
-    reliable = {
-        "workload": dict(sweep["workload"]),
-        "coalesced": {
-            "wall_s": round(rco_wall, 3),
-            "events": rco_events,
-            "sim_end": rco_end,
-        },
-        "fanout": {
-            "wall_s": round(rfan_wall, 3),
-            "events": rfan_events,
-            "sim_end": rfan_end,
-        },
-        "speedup_vs_fanout": round(rfan_wall / rco_wall, 2),
-        "reliability_overhead_vs_fast_path": round(
-            rco_wall / co_wall, 2
-        ),
-        "speedup_target": RELIABILITY_SPEEDUP_TARGET,
-        # both reliable paths must see the exact same simulated run
-        "sim_end_identical": rco_end == rfan_end,
-    }
-    reliable["target_met"] = (
-        reliable["sim_end_identical"]
-        and reliable["speedup_vs_fanout"] >= RELIABILITY_SPEEDUP_TARGET
-    )
-    results["reliability_sweep"] = reliable
-    print(f"  coalesced+rel {rco_wall:6.2f} s  {rco_events} events")
-    print(f"  fanout+rel    {rfan_wall:6.2f} s  {rfan_events} events")
-    print(f"  speedup vs fanout+rel: {reliable['speedup_vs_fanout']}x "
-          f"(target {RELIABILITY_SPEEDUP_TARGET}x, met: "
-          f"{reliable['target_met']})")
-    print(f"  reliability overhead vs fast path: "
-          f"{reliable['reliability_overhead_vs_fast_path']}x wall")
-    print(f"  sim_end identical: {reliable['sim_end_identical']}")
-
-    print("== metrics sweep (same workload, telemetry stack live) ==")
-    ins_wall, ins_events, ins_end = _best_of(
-        args.rounds, lambda: batch_sweep_instrumented(True)
-    )
-    overhead = round(ins_wall / co_wall, 3) if co_wall > 0 else 0.0
-    metrics_sweep = {
-        "workload": dict(sweep["workload"]),
-        "sampler_interval_s": 100e-6,
-        "instrumented": {
-            "wall_s": round(ins_wall, 3),
-            "events": ins_events,
-            "sim_end": ins_end,
-        },
-        "plain": {
-            "wall_s": round(co_wall, 3),
-            "events": co_events,
-            "sim_end": co_end,
-        },
-        "overhead_ratio": overhead,
-        "overhead_target": METRICS_OVERHEAD_TARGET,
-        # the sampler adds timer events but must not move simulated
-        # time: telemetry observes the run, it never changes it
-        "sim_end_identical": ins_end == co_end,
-    }
-    metrics_sweep["target_met"] = (
-        metrics_sweep["sim_end_identical"]
-        and overhead <= METRICS_OVERHEAD_TARGET
-    )
-    results["metrics_sweep"] = metrics_sweep
-    print(f"  instrumented {ins_wall:6.2f} s  {ins_events} events")
-    print(f"  plain        {co_wall:6.2f} s  {co_events} events")
-    print(f"  overhead: {overhead}x wall "
-          f"(target <= {METRICS_OVERHEAD_TARGET}x, met: "
-          f"{metrics_sweep['target_met']})")
-    print(f"  sim_end identical: {metrics_sweep['sim_end_identical']}")
-
-    auto = run_autotune()
-    results["autotune_sweep"] = auto
-
-    serving = run_serving()
-    results["serving_sweep"] = serving
-
-    cache = run_cache()
-    results["cache_sweep"] = cache
-
-    disagg = run_disagg_bench()
-    results["disagg_sweep"] = disagg
-
-    output = Path(args.output)
-    output.write_text(json.dumps(results, indent=2) + "\n")
-    print(f"wrote {output}")
-    # metrics_sweep is advisory (the CI telemetry job soft-gates on it);
-    # the batch, reliability, autotune, serving and cache sweeps decide
-    # the exit code
-    return 0 if (
-        sweep["target_met"]
-        and reliable["target_met"]
-        and auto["target_met"]
-        and serving["target_met"]
-        and cache["target_met"]
-        and disagg["target_met"]
-    ) else 1
+        path = args.output_dir / f"BENCH_{name}.json"
+        path.write_text(json.dumps(record, indent=2) + "\n")
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

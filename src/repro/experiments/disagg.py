@@ -27,8 +27,8 @@ from repro.experiments.report import ExperimentResult, Table
 from repro.hw.platform import Platform
 from repro.units import KiB, MiB, to_gb_per_s
 
-#: cache-friendly workload shape shared with ``run_bench``'s
-#: ``disagg_sweep`` gate (tiered must keep >= 80 % of local goodput)
+#: cache-friendly workload shape shared with ``run_bench.py``'s
+#: ``disagg`` sweep (tiered must keep >= 80 % of local goodput)
 WORKLOAD = {
     "granularity": 4 * KiB,
     "skew": 1.5,
@@ -42,8 +42,8 @@ def disagg_goodput(quick: bool = True) -> dict:
     """Goodput of the three configurations on the cache-friendly
     workload; returns ``{config: {"gb_per_s", "hit_rate", "p99_us"}}``.
 
-    Shared by :func:`run_disagg` and the ``disagg_sweep`` bench gate so
-    both report the same numbers.
+    Shared by :func:`run_disagg` and ``run_bench.py``'s ``disagg`` sweep
+    so both report the same numbers.
     """
     from repro.backends import make_backend
     from repro.net import build_disagg
@@ -160,7 +160,7 @@ def run_disagg(quick: bool = True) -> ExperimentResult:
         )
     result.note(
         "tiered goodput gate (>= 80 % of local-only) is enforced by "
-        "run_bench.py's disagg_sweep; the fault panel's readback "
+        "run_bench.py's disagg sweep; the fault panel's readback "
         "re-reads every acked write from the remote tier after resync"
     )
     result.note(

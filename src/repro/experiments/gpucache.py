@@ -12,8 +12,8 @@ entirely:
   filled the cache.
 
 ``graph_cache_once`` is the single graph-workload entry point shared by
-this experiment, ``benchmarks/perf/run_bench.py`` (the ``cache_sweep``
-gate) and the tests; ``serve_once`` plays the same role for serving.
+this experiment, ``benchmarks/perf/run_bench.py`` (the ``cache`` sweep's
+gates) and the tests; ``serve_once`` plays the same role for serving.
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ prefix-aware sliding window (StreamingLLM-style), which both shrinks the
 per-turn prefetch set and steers eviction at dead-weight blocks.
 
 ``serve_once`` is the single entry point every harness uses (this
-experiment, ``benchmarks/perf/run_bench.py``, the tests), so the
-configuration under measurement is defined exactly once.
+experiment, the ``serving`` and ``cache`` sweeps of
+``benchmarks/perf/run_bench.py``, the tests), so the configuration under
+measurement is defined exactly once.
 """
 
 from __future__ import annotations

@@ -58,7 +58,6 @@ class SpdkDriver:
         config: Optional[SPDKConfig] = None,
         occupy_cores: bool = False,
         reliability=None,
-        admission=None,
     ):
         self.platform = platform
         self.env = platform.env
@@ -66,9 +65,6 @@ class SpdkDriver:
         #: optional :class:`~repro.reliability.Reliability` bundle; None
         #: keeps the original fail-fast behaviour
         self.reliability = reliability
-        #: optional :class:`~repro.reliability.AdmissionController`
-        #: bounding in-flight work through :meth:`io`
-        self.admission = admission
         reactors = num_reactors or platform.num_ssds
         self.pool = ReactorPool(
             self.env,
@@ -287,28 +283,21 @@ class SpdkDriver:
                 target_offset, parent_span,
             )
 
-        admission = self.admission
-        if admission is not None:
-            admission.admit(1, nbytes)
-        try:
-            if self.reliability is None:
-                cqe = yield from attempt()
-            else:
-                try:
-                    cqe = yield from self.reliability.run(
-                        attempt,
-                        ssd_id=ssd_index,
-                        lba=local_lba,
-                        is_write=is_write,
-                        parent_span=parent_span,
-                    )
-                except DeviceTimeoutError:
-                    # the watchdog expired: the device is not answering
-                    self.reliability.health.mark_offline(ssd_index)
-                    raise
-        finally:
-            if admission is not None:
-                admission.release(1, nbytes)
+        if self.reliability is None:
+            cqe = yield from attempt()
+        else:
+            try:
+                cqe = yield from self.reliability.run(
+                    attempt,
+                    ssd_id=ssd_index,
+                    lba=local_lba,
+                    is_write=is_write,
+                    parent_span=parent_span,
+                )
+            except DeviceTimeoutError:
+                # the watchdog expired: the device is not answering
+                self.reliability.health.mark_offline(ssd_index)
+                raise
 
         self.requests_done.add()
         self.bytes_done.add(nbytes)

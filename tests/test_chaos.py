@@ -7,7 +7,7 @@ satisfy: every offered request terminates exactly once (completed,
 typed error, or shed), no duplicate completions, no hang, and the
 mirrored crash scenario keeps a goodput floor.  The folding lives in
 :func:`repro.experiments.extras.run_chaos`; this test keeps it honest
-in tier-1, and the CI chaos job publishes the same rows as an artifact.
+in tier-1, and the CI `gates` job runs the campaign as a blocking step.
 """
 
 import pytest

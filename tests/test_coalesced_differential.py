@@ -17,8 +17,10 @@ from repro.errors import ConfigurationError, DeviceError, SimulationError
 from repro.hw.faults import FaultInjector
 from repro.hw.platform import Platform
 from repro.oskernel.blockio import CompletionDispatcher
+from repro.reliability import Reliability
 from repro.sim.core import Environment
 from repro.sim.resources import Store
+from tests.golden import GOLDEN
 
 
 def _run_batches(
@@ -309,3 +311,25 @@ def test_remapped_manager_still_matches_fanout():
         ]
 
     assert run(False) == run(True)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("reliable", [False, True],
+                         ids=["fail-fast", "reliable"])
+def test_fig08_scale_fan_out_ends_at_the_golden_sim_end(reliable):
+    """The per-request fan-out path, plain and with the reliability
+    bundle, replays the pinned fig08-scale history (8 SSDs, 10 doorbell
+    batches of 8192 x 4 KiB reads) that the coalesced walk is gated on
+    in ``benchmarks/perf/run_bench.py``."""
+    platform = Platform(PlatformConfig(num_ssds=8), functional=False)
+    manager = CamManager(
+        platform, coalesce=False,
+        reliability=Reliability(platform) if reliable else None,
+    )
+    env = platform.env
+    for index in range(10):
+        lbas = (np.arange(8192, dtype=np.int64) * 3 + index) % (1 << 20)
+        env.run(manager.ring(
+            BatchRequest(lbas=lbas, granularity=4096, is_write=False)
+        ))
+    assert env.now == GOLDEN["fig08_batch_sim_end"].value

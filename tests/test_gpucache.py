@@ -429,9 +429,10 @@ def test_backend_speculation_rides_cam_async_path():
 
 def test_serving_cache_off_is_bit_identical_to_pre_cache_build():
     from repro.experiments.serving import serve_once
+    from tests.golden import GOLDEN
 
     _, sim_end = serve_once("cam", 100)
-    assert sim_end == 0.14012175802083016  # recorded pre-PR constant
+    assert sim_end == GOLDEN["serving_cache_off_sim_end"].value[100]
 
 
 def test_serving_gpu_cache_keeps_throughput_and_hits():

@@ -174,11 +174,14 @@ def test_causal_tracing_is_bit_identical_in_simulated_time(scenario):
     """ISSUE 10 zero-cost contract: a serving run (CAM array, and the
     disaggregated tier under a fabric brownout) replays the identical
     event history whether causal tracing is enabled, reduced to bare
-    span recording, or fully disabled."""
+    span recording, or fully disabled, and ends at its pinned instant."""
+    from tests.golden import GOLDEN
+
     bare = _serving_sim_end(scenario, traced=False)
     spans_only = _serving_sim_end(scenario, traced=True, causal=False)
     causal = _serving_sim_end(scenario, traced=True)
     assert bare == spans_only == causal
+    assert bare[0] == GOLDEN["causal_serving_sim_end"].value[scenario]
 
 
 def test_reactor_utilization_and_timeline_are_consistent():
