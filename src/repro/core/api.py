@@ -26,7 +26,12 @@ import numpy as np
 
 from repro.config import CAMConfig
 from repro.core.autotune import CoreAutotuner
-from repro.core.control import BatchRequest, CamManager, check_lbas
+from repro.core.control import (
+    BatchRequest,
+    CamManager,
+    check_granularity,
+    check_lbas,
+)
 from repro.core.regions import BatchArgs, SyncRegions
 from repro.errors import APIUsageError
 from repro.hw.gpu import GPUBuffer
@@ -209,6 +214,7 @@ class CamDeviceAPI:
         context = self.context
         context._check_open()
         lbas = np.asarray(check_lbas(lbas), dtype=np.int64)
+        check_granularity(granularity)
         if len(lbas) > context.max_batch_requests:
             raise APIUsageError(
                 f"batch of {len(lbas)} exceeds max_batch_requests "

@@ -15,7 +15,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from repro.core.control import BatchRequest, check_lbas
+from repro.core.control import BatchRequest, check_granularity, check_lbas
 from repro.errors import APIUsageError
 from repro.hw.gpu import GPUBuffer
 from repro.sim.core import Event
@@ -60,6 +60,7 @@ class CamAsyncAPI:
         context = self.context
         context._check_open()
         lbas = np.asarray(check_lbas(lbas), dtype=np.int64)
+        check_granularity(granularity)
         if buffer is not None and not buffer.pinned:
             raise APIUsageError("buffer must be pinned CAM_alloc memory")
         yield self.env.timeout(context.config.doorbell_time)

@@ -1,9 +1,10 @@
 """CAM's CPU-side management threads.
 
 A persistent CPU poller watches the doorbell region; when the GPU rings,
-the manager reads the LBA batch, fans the requests out across the
-per-SSD SPDK queue pairs (charging each owning reactor's per-request CPU
-cost), waits for every completion, and flags the completion region.
+the manager reads the LBA batch, groups the requests per owning reactor,
+walks each group onto its SSDs' SPDK queue pairs (charging the reactor's
+per-request CPU cost), waits for every completion, and flags the
+completion region.
 
 The number of *active* reactors is controlled by the
 :class:`~repro.core.autotune.CoreAutotuner`; inactive reactors' SSDs are
@@ -13,9 +14,9 @@ NVMes" (Fig. 12) happens.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from heapq import heappush
-from operator import itemgetter
 from typing import Generator, Optional
 
 import numpy as np
@@ -92,6 +93,27 @@ def check_lbas(lbas) -> np.ndarray:
     return array
 
 
+def check_granularity(granularity) -> None:
+    """The rule for a batch's request size: a positive integer number of
+    bytes.
+
+    Python and NumPy integers pass (what :func:`operator.index` takes,
+    booleans aside); anything else raises
+    :class:`~repro.errors.APIUsageError`.  The batch entry points call
+    it with :func:`check_lbas`, since a zero, negative or fractional
+    size would be counted as bytes moved and claimed from admission.
+    """
+    if not isinstance(granularity, (bool, np.bool_)):
+        try:
+            if operator.index(granularity) > 0:
+                return
+        except TypeError:
+            pass
+    raise APIUsageError(
+        f"granularity must be a positive integer, not {granularity!r}"
+    )
+
+
 class CamManager:
     """The persistent CPU thread(s) managing the SSDs for one GPU."""
 
@@ -100,9 +122,7 @@ class CamManager:
         platform: Platform,
         config: Optional[CAMConfig] = None,
         num_cores: Optional[int] = None,
-        occupy_cores: bool = False,
         reliability=None,
-        coalesce: bool = True,
         admission=None,
         supervise_reactors: bool = False,
     ):
@@ -113,14 +133,6 @@ class CamManager:
         #: driver retries/guards each request, the manager types the
         #: batch-level failure
         self.reliability = reliability
-        #: submit batches through the coalesced per-reactor walks
-        #: (:meth:`SpdkDriver.walk`) instead of one process per
-        #: request.  Timings are identical; ``coalesce=False`` keeps
-        #: the fan-out path for differential testing.  With a
-        #: reliability bundle the coalesced path peels failed commands
-        #: off the group and re-drives them per-request, so the fast
-        #: path and the reliable path are the same path.
-        self.coalesce = coalesce
         #: optional :class:`~repro.reliability.AdmissionController`;
         #: :meth:`ring` sheds batches beyond its in-flight bounds with a
         #: typed :class:`~repro.errors.OverloadError`
@@ -129,7 +141,6 @@ class CamManager:
         self.driver = SpdkDriver(
             platform,
             num_reactors=num_cores or max_cores,
-            occupy_cores=occupy_cores,
             reliability=reliability,
         )
         #: optional stall/crash supervisor driving reactor failover
@@ -180,12 +191,15 @@ class CamManager:
         the manager past its in-flight bounds is shed here —
         synchronously, before the doorbell is even recorded — with a
         typed :class:`~repro.errors.OverloadError`.  A batch whose LBAs
-        are not a non-empty 1-D integer array (see :func:`check_lbas`),
-        one with a negative LBA or a request running past its SSD's last
-        block, or one whose payload list does not match its LBA count is
-        rejected before that with :class:`~repro.errors.APIUsageError`.
+        are not a non-empty 1-D integer array (see :func:`check_lbas`)
+        or whose granularity is not a positive integer (see
+        :func:`check_granularity`), one with a negative LBA or a request
+        running past its SSD's last block, or one whose payload list
+        does not match its LBA count is rejected before that with
+        :class:`~repro.errors.APIUsageError`.
         """
         check_lbas(batch.lbas)
+        check_granularity(batch.granularity)
         if (
             batch.payloads is not None
             and len(batch.payloads) != batch.request_count
@@ -265,27 +279,16 @@ class CamManager:
 
         Batches proceed concurrently (e.g. a read batch overlapping a
         write-back batch); per-reactor CPU contention still serializes
-        the actual submission work.  A coalesced batch, with or without
-        a reliability bundle, is a :class:`_BatchRun` record driven by
-        heap callbacks; a batch on the fan-out path is a
-        :meth:`_handle_batch` process.
+        the actual submission work.  Every batch, with or without a
+        reliability bundle, is a :class:`_BatchRun` record driven by
+        heap callbacks.
         """
-        if not self.coalesce:
-            self.env.process(self._handle_batch(batch))
-            return
         try:
             _advance(_BatchRun(self, batch))
         except Exception as error:  # noqa: BLE001 - surfaced below
-            # what the batch raised surfaces from env.run, as when a
-            # handler process died; the poller lives on
+            # what the batch raised surfaces from env.run, as a dead
+            # process's error would; the poller lives on
             Event(self.env).fail(error)
-
-    def _handle_batch(self, batch: BatchRequest) -> Generator:
-        try:
-            failures = yield from self._process_batch(batch)
-        finally:
-            self._release(batch)
-        self._complete(batch, failures)
 
     def _release(self, batch: BatchRequest) -> None:
         if self.admission is not None:
@@ -452,58 +455,6 @@ class CamManager:
                 )
         return failures
 
-    def _process_batch(self, batch: BatchRequest) -> Generator:
-        """Submit a batch on the fan-out path (``coalesce=False``), one
-        process per request, and wait for every CQE.
-
-        It produces the simulated timestamps of the coalesced records —
-        the differential tests in ``tests/test_coalesced_differential.py``
-        and ``tests/test_reliable_coalesced_differential.py`` pin that
-        down.
-        """
-        count = batch.request_count
-        step = self._slice_limit() or count
-        failures = []
-        for start in range(0, count, step):
-            stop = min(start + step, count)
-            results = yield from self._fan_out(batch, start, stop)
-            failures.extend(self._failures(batch, results))
-        return failures
-
-    def _fan_out(
-        self, batch: BatchRequest, start: int, stop: int
-    ) -> Generator:
-        """One process per request of one slice."""
-        indexes = range(start, stop)
-        children = [
-            self.env.process(self._request(batch, index, payload))
-            for index, payload in zip(
-                indexes, self._payloads(batch, start, stop)
-            )
-        ]
-        done = yield self.env.all_of(children)
-        return [
-            (index, done[child]) for index, child in zip(indexes, children)
-        ]
-
-    def _request(self, batch: BatchRequest, index: int, payload) -> Generator:
-        """One fan-out request; typed device errors (watchdog timeouts)
-        become return values so a single bad request cannot kill the
-        whole batch process tree."""
-        try:
-            cqe = yield from self.driver.io(
-                int(batch.lbas[index]),
-                batch.granularity,
-                is_write=batch.is_write,
-                payload=payload,
-                target=batch.dest,
-                target_offset=index * batch.granularity,
-                parent_span=batch.trace_span,
-            )
-        except DeviceError as error:
-            return error
-        return cqe
-
     def achieved_throughput(self) -> float:
         """Bytes/second over the observation window."""
         return self.bytes_done.rate()
@@ -539,7 +490,7 @@ class CamManager:
 
 # -- the batch record --------------------------------------------------------
 
-_by_index = itemgetter(0)
+_by_index = operator.itemgetter(0)
 
 
 class _BatchRun(Event):
@@ -651,7 +602,7 @@ def _walk_ended(walk) -> None:
 
 def _walk_failed(run: _BatchRun, error) -> None:
     """A walk of the batch found its group malformed.  As when a
-    handler process died: the admission claim goes back, the error
+    process dies: the admission claim goes back, the error
     surfaces from ``env.run``, and the batch never completes (the
     failed walk never counts down ``pending``, so no join fires)."""
     if run.failures is None:

@@ -9,13 +9,12 @@ performance shapes).
 from repro.hw.nvme import CQE, SQE, NVMeOpcode, QueuePair
 from repro.hw.ssd import SSD, BlockStore
 from repro.hw.gpu import GPU, GPUBuffer, GPUMemory
-from repro.hw.cpu import CPU, CycleAccountant
+from repro.hw.cpu import CycleAccountant
 from repro.hw.dram import DRAM
 from repro.hw.pcie import PCIeFabric
 from repro.hw.platform import Platform
 
 __all__ = [
-    "CPU",
     "CQE",
     "CycleAccountant",
     "DRAM",

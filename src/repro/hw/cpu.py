@@ -1,4 +1,4 @@
-"""CPU model: cores, worker threads, and instruction/cycle accounting.
+"""CPU model: instruction and cycle accounting.
 
 The control planes differ in where their CPU time goes:
 
@@ -8,8 +8,7 @@ The control planes differ in where their CPU time goes:
   IPC, which is why Fig. 13 shows them using *slightly* fewer instructions
   but *far* fewer cycles than libaio.
 
-:class:`CycleAccountant` implements that model; :class:`CPU` provides the
-core pool that managers/reactors/pollers occupy.
+:class:`CycleAccountant` implements that model.
 """
 
 from __future__ import annotations
@@ -17,11 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict
 
-from repro.config import CPUConfig
 from repro.errors import SimulationError
-from repro.sim.core import Environment
-from repro.sim.resources import Resource
-from repro.sim.stats import TimeWeightedStat
 
 
 @dataclass
@@ -82,50 +77,3 @@ class CycleAccountant:
             name: sample.cycles / total
             for name, sample in self.samples.items()
         }
-
-
-class CPU:
-    """Core pool with occupancy tracking.
-
-    Long-running actors (SPDK reactors, CAM management threads, OS worker
-    threads) hold a core for their lifetime; the ``busy`` statistic exposes
-    how many cores the storage stack steals from the application — the cost
-    CAM's dynamic core adjustment (Section III-A) minimizes.
-    """
-
-    def __init__(self, env: Environment, config: CPUConfig):
-        self.env = env
-        self.config = config
-        self._cores = Resource(env, capacity=config.cores)
-        self.busy = TimeWeightedStat(env)
-
-    @property
-    def cores_available(self) -> int:
-        return self.config.cores - self._cores.count
-
-    @property
-    def cores_in_use(self) -> int:
-        return self._cores.count
-
-    def acquire_core(self):
-        """Request event for one core; track occupancy on grant."""
-        request = self._cores.request()
-        if request.callbacks is None:
-            # granted on the spot (free core): count it busy now
-            self.busy.add(1)
-        else:
-            request.callbacks.append(lambda _event: self.busy.add(1))
-        return request
-
-    def release_core(self, request) -> None:
-        self._cores.release(request)
-        self.busy.add(-1)
-
-    def mean_cores_busy(self) -> float:
-        return self.busy.mean()
-
-    def seconds_to_cycles(self, seconds: float) -> float:
-        return seconds * self.config.frequency_hz
-
-    def cycles_to_seconds(self, cycles: float) -> float:
-        return cycles / self.config.frequency_hz

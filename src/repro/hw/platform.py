@@ -2,7 +2,7 @@
 :class:`~repro.config.PlatformConfig`.
 
 A :class:`Platform` owns one simulation environment and every device on it:
-the GPU, the CPU core pool, DRAM, the PCIe fabric, and ``num_ssds`` SSDs.
+the GPU, DRAM, the PCIe fabric, and ``num_ssds`` SSDs.
 Control-plane implementations and workloads all operate on a Platform, so
 an experiment that sweeps SSD counts just builds one Platform per point.
 """
@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.config import DEFAULT_PLATFORM, PlatformConfig
 from repro.errors import ConfigurationError
-from repro.hw.cpu import CPU
 from repro.hw.dram import DRAM
 from repro.hw.gpu import GPU
 from repro.hw.pcie import PCIeFabric
@@ -54,7 +53,6 @@ class Platform:
         #: the direct P2P path (CAM/BaM/GDS) crosses only the storage one.
         self.gpu_pcie = PCIeFabric(self.env, self.config.pcie)
         self.dram = DRAM(self.env, self.config.dram)
-        self.cpu = CPU(self.env, self.config.cpu)
         self.gpu = GPU(
             self.env,
             self.config.gpu,

@@ -17,7 +17,6 @@ from heapq import heappush
 from operator import itemgetter
 from typing import Generator, List, Optional
 
-from repro.config import SPDKConfig
 from repro.errors import (
     ConfigurationError,
     DeviceError,
@@ -55,23 +54,17 @@ class SpdkDriver:
         self,
         platform: Platform,
         num_reactors: Optional[int] = None,
-        config: Optional[SPDKConfig] = None,
-        occupy_cores: bool = False,
         reliability=None,
     ):
         self.platform = platform
         self.env = platform.env
-        self.config = config or platform.config.spdk
+        self.config = platform.config.spdk
         #: optional :class:`~repro.reliability.Reliability` bundle; None
         #: keeps the original fail-fast behaviour
         self.reliability = reliability
         reactors = num_reactors or platform.num_ssds
         self.pool = ReactorPool(
-            self.env,
-            platform.num_ssds,
-            reactors,
-            self.config,
-            cpu=platform.cpu if occupy_cores else None,
+            self.env, platform.num_ssds, reactors, self.config
         )
         self._handles: List[SpdkQueuePairHandle] = []
         for index, ssd in enumerate(platform.ssds):
@@ -227,9 +220,7 @@ class SpdkDriver:
         # its SSDs) is the supervisor's job — or the test's, explicitly
         self.pool.reactors[reactor_id].crash()
 
-    def _await_failover(
-        self, ssd_index: int, dead_reactor: Reactor
-    ) -> Generator:
+    def _await_failover(self, ssd_index: int) -> Generator:
         """Process: wait briefly for a supervisor to re-home an SSD.
 
         Returns the SSD's re-homed handle, or ``None`` if nothing
@@ -340,9 +331,7 @@ class SpdkDriver:
                     continue
                 if self.reliability is None:
                     raise
-                handle = yield from self._await_failover(
-                    ssd_index, current.reactor
-                )
+                handle = yield from self._await_failover(ssd_index)
                 if handle is None:
                     raise
         cost = handle.reactor.account_request(
@@ -386,7 +375,6 @@ class SpdkDriver:
         is_write: bool = False,
         target=None,
         parent_span=None,
-        epoch: Optional[int] = None,
     ) -> Generator:
         """Process: coalesced submission of one reactor's share of a batch.
 
@@ -405,16 +393,9 @@ class SpdkDriver:
         Returns a list of ``(orig_index, outcome)`` sorted by
         ``orig_index`` — each outcome a CQE, or a
         :class:`~repro.errors.ReactorOfflineError` for items the owning
-        reactor crashed under before they reached the wire.
-
-        ``epoch`` is the :attr:`resize_epoch` observed when the caller
-        formed the group (defaults to the value at generator start).  If
-        a remap moves an SSD to another reactor after that point — an
-        elastic resize or a failover landing mid-group — the group keeps
-        draining on its original reactor (in-flight work drains where it
-        was charged; only *new* groups land on the new assignment).  A
-        mixed group with no intervening remap is a caller bug and still
-        raises :class:`~repro.errors.ConfigurationError`.
+        reactor crashed under before they reached the wire.  The group
+        is checked against the :attr:`resize_epoch` at generator start
+        (see :meth:`walk`).
 
         The walk itself is :meth:`walk`'s heap-callback record; this
         generator only waits for it, and resumes at the heap pop where
@@ -428,21 +409,20 @@ class SpdkDriver:
                 "with a reliability bundle"
             )
         return (yield from self._walked(
-            items, granularity, is_write, target, parent_span,
-            self.resize_epoch if epoch is None else epoch,
+            items, granularity, is_write, target, parent_span
         ))
 
     def _walked(
-        self, items, granularity: int, is_write: bool, target,
-        parent_span, epoch: int,
+        self, items, granularity: int, is_write: bool, target, parent_span
     ) -> Generator:
-        """Process: run :meth:`walk` and return its results."""
+        """Process: run :meth:`walk` against the current
+        :attr:`resize_epoch` and return its results."""
         if not items:
             return []
         done = Event(self.env)
         walk = self.walk(
-            items, granularity, is_write, target, parent_span, epoch,
-            done, _resume_waiter,
+            items, granularity, is_write, target, parent_span,
+            self.resize_epoch, done, _resume_waiter,
         )
         if walk.results is None:
             yield done
@@ -453,7 +433,15 @@ class SpdkDriver:
         parent_span, epoch: int, owner, on_done,
     ) -> "_Walk":
         """Start the coalesced walk of one reactor's group (see
-        :meth:`io_batch` for ``items`` and ``epoch``).
+        :meth:`io_batch` for ``items``).
+
+        ``epoch`` is the :attr:`resize_epoch` observed when the caller
+        formed the group.  If a remap moves an SSD to another reactor
+        after that point — an elastic resize or a failover landing
+        mid-group — the group keeps draining on its original reactor
+        (in-flight work drains where it was charged; only *new* groups
+        land on the new assignment).  A mixed group with no intervening
+        remap is a caller bug.
 
         The walk runs up to its first wait and returns its record.  Once
         every request has its outcome, ``record.results`` holds the
@@ -536,8 +524,7 @@ class SpdkDriver:
                 "use io_batch"
             )
         return (yield from self._walked(
-            items, granularity, is_write, target, parent_span,
-            self.resize_epoch,
+            items, granularity, is_write, target, parent_span
         ))
 
     def _poll_iterations(self, is_write: bool) -> float:

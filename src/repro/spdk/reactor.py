@@ -22,13 +22,7 @@ from repro.sim.stats import Counter
 class Reactor:
     """One polling core."""
 
-    def __init__(
-        self,
-        env: Environment,
-        reactor_id: int,
-        config: SPDKConfig,
-        cpu=None,
-    ):
+    def __init__(self, env: Environment, reactor_id: int, config: SPDKConfig):
         self.env = env
         self.reactor_id = reactor_id
         self.config = config
@@ -47,10 +41,6 @@ class Reactor:
         #: simulated time the reactor last finished a unit of work; a
         #: supervisor treats a busy reactor with stale progress as stalled
         self.last_progress = env.now
-        self._core_grant = None
-        if cpu is not None:
-            # occupy a physical core for the reactor's lifetime
-            self._core_grant = cpu.acquire_core()
 
     def _offline_error(self) -> ReactorOfflineError:
         return ReactorOfflineError(
@@ -237,7 +227,6 @@ class ReactorPool:
         num_ssds: int,
         num_reactors: int,
         config: SPDKConfig,
-        cpu=None,
     ):
         if num_reactors < 1:
             raise ConfigurationError("need at least one reactor")
@@ -246,8 +235,7 @@ class ReactorPool:
         self.env = env
         self.config = config
         self.reactors: List[Reactor] = [
-            Reactor(env, index, config, cpu=cpu)
-            for index in range(num_reactors)
+            Reactor(env, index, config) for index in range(num_reactors)
         ]
         self._assignment = [
             index % num_reactors for index in range(num_ssds)

@@ -400,7 +400,7 @@ def run_demo(
         from repro.reliability import Reliability
 
         bundle = Reliability(platform)
-    manager = CamManager(platform, coalesce=True, reliability=bundle)
+    manager = CamManager(platform, reliability=bundle)
     sampler = MetricsSampler(metrics, interval=interval, manager=manager)
     for index in range(batches):
         lbas = (

@@ -14,6 +14,7 @@ import pytest
 
 from repro.config import PlatformConfig
 from repro.core import CamContext
+from repro.core.async_api import CamAsyncAPI
 from repro.core.control import BatchRequest, CamManager
 from repro.errors import (
     AllocationError,
@@ -274,6 +275,69 @@ def test_device_api_rejects_malformed_lba_arrays_before_the_doorbell(
     assert context.manager.batches_done.total == len(_WELL_FORMED_LBAS)
     assert context.manager.driver.requests_done.total == 12
     assert admission.inflight_requests == 0
+
+
+#: batch granularities that are not a positive integer.  Let through,
+#: a negative size completed with negative ``bytes_done``, admitted
+#: negative bytes that let a later batch past ``max_inflight_bytes`` and
+#: raised AllocationError out of ``env.run`` on a functional platform;
+#: zero completed reads with no bytes; 4096.5 counted 8193 bytes
+_BAD_GRANULARITIES = {
+    "negative": -4096,
+    "negative int64": np.int64(-4096),
+    "zero": 0,
+    "fractional": 4096.5,
+    "boolean": True,
+}
+
+
+@pytest.mark.parametrize("entry", ["ring", "device api", "async api"])
+@pytest.mark.parametrize("name", sorted(_BAD_GRANULARITIES))
+def test_entry_points_reject_a_bad_granularity_before_admission(
+    name, entry
+):
+    platform = Platform(PlatformConfig(num_ssds=2), functional=True)
+    env = platform.env
+    admission = AdmissionController(env, max_inflight_bytes=8192)
+    context = CamContext(platform, admission=admission)
+    manager = context.manager
+    device_api = context.device_api()
+    async_api = CamAsyncAPI(context)
+    buffer = context.alloc(2 * 4096)
+    lbas = np.array([0, 8], dtype=np.int64)
+
+    def read(granularity):
+        """Process: one two-request read batch through ``entry``."""
+        if entry == "ring":
+            yield manager.ring(
+                BatchRequest(
+                    lbas=lbas, granularity=granularity, is_write=False,
+                    dest=buffer,
+                )
+            )
+        elif entry == "device api":
+            yield from device_api.prefetch(lbas, buffer, granularity)
+            yield from device_api.prefetch_synchronize()
+        else:
+            ticket = yield from async_api.submit(lbas, buffer, granularity)
+            yield from async_api.wait(ticket)
+
+    def kernel():
+        with pytest.raises(APIUsageError, match="positive integer"):
+            yield from read(_BAD_GRANULARITIES[name])
+        # no doorbell time spent, nothing admitted
+        assert env.now == 0.0
+        assert admission.admitted_requests.total == 0
+        assert admission.inflight_bytes == 0
+        # Python and NumPy integers still pass, each batch at the bound
+        for granularity in (4096, np.int64(4096)):
+            yield from read(granularity)
+
+    env.run(env.process(kernel()))
+    assert manager.batches_done.total == 2
+    assert manager.bytes_done.total == 2 * 8192
+    assert admission.admitted_requests.total == 4
+    assert admission.inflight_bytes == 0
 
 
 @pytest.mark.parametrize("sliced", [False, True])

@@ -1,11 +1,11 @@
 """Differential tests: coalesced submission vs per-request fan-out.
 
-The coalesced path (:meth:`~repro.spdk.driver.SpdkDriver.io_batch`) must
-be a pure wall-clock optimization: every simulated quantity — batch I/O
-times, per-request device latencies (values *and* completion order),
+The manager's coalesced walks (:meth:`~repro.spdk.driver.SpdkDriver.walk`)
+must be a pure wall-clock optimization: every simulated quantity — batch
+I/O times, per-request device latencies (values *and* completion order),
 completion counts, fault outcomes, and the final simulated clock — has to
-match the fan-out path bit for bit.  These tests run the same workloads
-through both paths and compare.
+match the per-request fan-out of :class:`tests.fanout_oracle.FanOutManager`
+bit for bit.  These tests run the same workloads through both and compare.
 """
 
 import numpy as np
@@ -20,11 +20,12 @@ from repro.oskernel.blockio import CompletionDispatcher
 from repro.reliability import Reliability
 from repro.sim.core import Environment
 from repro.sim.resources import Store
+from tests.fanout_oracle import FanOutManager
 from tests.golden import GOLDEN
 
 
 def _run_batches(
-    coalesce,
+    manager_class,
     num_ssds=4,
     num_cores=2,
     requests=256,
@@ -39,7 +40,7 @@ def _run_batches(
         platform.fault_injector = injector
         for ssd in platform.ssds:
             ssd.fault_injector = injector
-    manager = CamManager(platform, num_cores=num_cores, coalesce=coalesce)
+    manager = manager_class(platform, num_cores=num_cores)
     env = platform.env
     outcomes = []
     for index in range(batches):
@@ -80,33 +81,33 @@ def _assert_identical(fanout, coalesced):
 
 
 def test_read_batches_identical():
-    fanout = _run_batches(False)
-    coalesced = _run_batches(True)
+    fanout = _run_batches(FanOutManager)
+    coalesced = _run_batches(CamManager)
     _assert_identical(fanout, coalesced)
 
 
 def test_write_batches_identical():
-    fanout = _run_batches(False, is_write=True)
-    coalesced = _run_batches(True, is_write=True)
+    fanout = _run_batches(FanOutManager, is_write=True)
+    coalesced = _run_batches(CamManager, is_write=True)
     _assert_identical(fanout, coalesced)
 
 
 def test_shared_reactor_batches_identical():
     # more SSDs than reactors: groups span SSDs on the same reactor
-    fanout = _run_batches(False, num_ssds=8, num_cores=3, requests=512)
-    coalesced = _run_batches(True, num_ssds=8, num_cores=3, requests=512)
+    fanout = _run_batches(FanOutManager, num_ssds=8, num_cores=3, requests=512)
+    coalesced = _run_batches(CamManager, num_ssds=8, num_cores=3, requests=512)
     _assert_identical(fanout, coalesced)
 
 
 def test_single_ssd_batches_identical():
-    fanout = _run_batches(False, num_ssds=1, num_cores=1, requests=64)
-    coalesced = _run_batches(True, num_ssds=1, num_cores=1, requests=64)
+    fanout = _run_batches(FanOutManager, num_ssds=1, num_cores=1, requests=64)
+    coalesced = _run_batches(CamManager, num_ssds=1, num_cores=1, requests=64)
     _assert_identical(fanout, coalesced)
 
 
 def test_fault_injected_read_batches_identical():
-    fanout = _run_batches(False, error_rate=0.02)
-    coalesced = _run_batches(True, error_rate=0.02)
+    fanout = _run_batches(FanOutManager, error_rate=0.02)
+    coalesced = _run_batches(CamManager, error_rate=0.02)
     assert any(o[0] == "err" for o in fanout["outcomes"]), (
         "fault config produced no failures; raise error_rate"
     )
@@ -114,14 +115,14 @@ def test_fault_injected_read_batches_identical():
 
 
 def test_fault_injected_write_batches_identical():
-    fanout = _run_batches(False, is_write=True, error_rate=0.02)
-    coalesced = _run_batches(True, is_write=True, error_rate=0.02)
+    fanout = _run_batches(FanOutManager, is_write=True, error_rate=0.02)
+    coalesced = _run_batches(CamManager, is_write=True, error_rate=0.02)
     _assert_identical(fanout, coalesced)
 
 
 def test_coalesced_processes_fewer_events():
-    fanout = _run_batches(False, num_ssds=8, num_cores=3, requests=512)
-    coalesced = _run_batches(True, num_ssds=8, num_cores=3, requests=512)
+    fanout = _run_batches(FanOutManager, num_ssds=8, num_cores=3, requests=512)
+    coalesced = _run_batches(CamManager, num_ssds=8, num_cores=3, requests=512)
     # the point of the exercise: same simulation, fewer heap events
     assert coalesced["events"] < 0.7 * fanout["events"]
 
@@ -293,11 +294,11 @@ def test_manager_set_active_reactors_rebinds_handles():
 def test_remapped_manager_still_matches_fanout():
     """Coalescing stays differential-identical after a remap."""
 
-    def run(coalesce):
+    def run(manager_class):
         platform = Platform(
             PlatformConfig(num_ssds=4), functional=False
         )
-        manager = CamManager(platform, num_cores=2, coalesce=coalesce)
+        manager = manager_class(platform, num_cores=2)
         manager.set_active_reactors(1)
         env = platform.env
         lbas = (np.arange(256, dtype=np.int64) * 5 + 3) % (1 << 18)
@@ -310,21 +311,20 @@ def test_remapped_manager_still_matches_fanout():
             tuple(s.read_latency._samples) for s in platform.ssds
         ]
 
-    assert run(False) == run(True)
+    assert run(FanOutManager) == run(CamManager)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("reliable", [False, True],
                          ids=["fail-fast", "reliable"])
 def test_fig08_scale_fan_out_ends_at_the_golden_sim_end(reliable):
-    """The per-request fan-out path, plain and with the reliability
+    """The per-request fan-out oracle, plain and with the reliability
     bundle, replays the pinned fig08-scale history (8 SSDs, 10 doorbell
     batches of 8192 x 4 KiB reads) that the coalesced walk is gated on
     in ``benchmarks/perf/run_bench.py``."""
     platform = Platform(PlatformConfig(num_ssds=8), functional=False)
-    manager = CamManager(
-        platform, coalesce=False,
-        reliability=Reliability(platform) if reliable else None,
+    manager = FanOutManager(
+        platform, reliability=Reliability(platform) if reliable else None,
     )
     env = platform.env
     for index in range(10):

@@ -1,16 +1,15 @@
-"""Unit tests for CPU, DRAM, PCIe and Platform assembly."""
+"""Unit tests for cycle accounting, DRAM, PCIe and Platform assembly."""
 
 import numpy as np
 import pytest
 
 from repro.config import (
-    CPUConfig,
     DRAMConfig,
     PCIeConfig,
     PlatformConfig,
 )
 from repro.errors import ConfigurationError, SimulationError
-from repro.hw.cpu import CPU, CycleAccountant
+from repro.hw.cpu import CycleAccountant
 from repro.hw.dram import DRAM
 from repro.hw.pcie import PCIeFabric
 from repro.hw.platform import Platform
@@ -18,31 +17,7 @@ from repro.sim import Environment
 from repro.units import GB, KiB
 
 
-# --- CPU ------------------------------------------------------------------
-
-def test_cpu_core_pool_tracks_occupancy():
-    env = Environment()
-    cpu = CPU(env, CPUConfig(cores=4))
-
-    def proc():
-        grant = cpu.acquire_core()
-        yield grant
-        assert cpu.cores_in_use == 1
-        yield env.timeout(1.0)
-        cpu.release_core(grant)
-        yield env.timeout(1.0)
-
-    env.run(env.process(proc()))
-    assert cpu.cores_in_use == 0
-    assert cpu.mean_cores_busy() == pytest.approx(0.5)
-
-
-def test_cpu_cycle_conversion():
-    env = Environment()
-    cpu = CPU(env, CPUConfig(frequency_hz=2.2e9))
-    assert cpu.seconds_to_cycles(1e-6) == pytest.approx(2200.0)
-    assert cpu.cycles_to_seconds(2200.0) == pytest.approx(1e-6)
-
+# --- cycle accounting -----------------------------------------------------
 
 def test_cycle_accountant_ipc_model():
     accountant = CycleAccountant()

@@ -29,8 +29,7 @@ def _manager(num_ssds=4, num_cores=2, injector=None):
     )
     reliability = Reliability(platform)
     manager = CamManager(
-        platform, num_cores=num_cores, coalesce=True,
-        reliability=reliability,
+        platform, num_cores=num_cores, reliability=reliability
     )
     return platform, manager, reliability
 

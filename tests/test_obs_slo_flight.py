@@ -72,9 +72,7 @@ def _slo_run(degrade: bool, tmp_path=None, cooldown=0.0):
     )
     env = platform.env
     reliability = Reliability(platform)
-    manager = CamManager(
-        platform, num_cores=2, coalesce=True, reliability=reliability
-    )
+    manager = CamManager(platform, num_cores=2, reliability=reliability)
     tracer = install_tracer(env)
     metrics = install_metrics(env)
     sampler = install_sampler(metrics, manager=manager, interval=50e-6)

@@ -26,15 +26,14 @@ from repro.spdk.driver import SpdkDriver
 from repro.spdk.reactor import ReactorPool
 
 
-def _manager(num_ssds=4, num_cores=2, injector=None, coalesce=True):
+def _manager(num_ssds=4, num_cores=2, injector=None):
     platform = Platform(
         PlatformConfig(num_ssds=num_ssds), functional=False,
         fault_injector=injector,
     )
     reliability = Reliability(platform)
     manager = CamManager(
-        platform, num_cores=num_cores, coalesce=coalesce,
-        reliability=reliability,
+        platform, num_cores=num_cores, reliability=reliability
     )
     return platform, manager
 

@@ -1,15 +1,16 @@
 """Differential tests: coalesced + reliability vs fan-out + reliability.
 
-ISSUE 4's tentpole claim is that attaching the reliability bundle no
-longer downgrades the manager to per-request fan-out: the coalesced path
+Attaching the reliability bundle does not downgrade the manager to
+per-request fan-out: the coalesced reliable walk
 (:meth:`~repro.spdk.driver.SpdkDriver.io_batch_reliable`) peels failed
 commands off the completion group and re-drives them through the same
-:meth:`~repro.reliability.Reliability.run` loop the fan-out path uses.
-Every simulated quantity — batch outcomes, per-request device latencies
-(values *and* completion order), retry/fault/breaker counters, watchdog
-firings, and the final simulated clock — must match the fan-out path bit
-for bit.  Heap-event counts are the one thing allowed (expected) to
-differ: coalescing exists to shrink them.
+:meth:`~repro.reliability.Reliability.run` loop the fan-out oracle
+(:class:`tests.fanout_oracle.FanOutManager`) uses.  Every simulated
+quantity — batch outcomes, per-request device latencies (values *and*
+completion order), retry/fault/breaker counters, watchdog firings, and
+the final simulated clock — must match the oracle bit for bit.
+Heap-event counts are the one thing allowed (expected) to differ:
+coalescing exists to shrink them.
 """
 
 import numpy as np
@@ -27,10 +28,11 @@ from repro.hw.faults import FaultInjector
 from repro.hw.platform import Platform
 from repro.reliability import Reliability
 from repro.sim.core import Process, Timeout
+from tests.fanout_oracle import FanOutManager
 
 
 def _run_batches(
-    coalesce,
+    manager_class,
     num_ssds=4,
     num_cores=2,
     requests=256,
@@ -54,9 +56,8 @@ def _run_batches(
         fault_injector=injector,
     )
     reliability = Reliability(platform)
-    manager = CamManager(
-        platform, num_cores=num_cores, coalesce=coalesce,
-        reliability=reliability,
+    manager = manager_class(
+        platform, num_cores=num_cores, reliability=reliability
     )
     env = platform.env
     if offline is not None:
@@ -125,21 +126,21 @@ def _assert_identical(fanout, coalesced):
 
 
 def test_fault_free_reliable_batches_identical():
-    fanout = _run_batches(False)
-    coalesced = _run_batches(True)
+    fanout = _run_batches(FanOutManager)
+    coalesced = _run_batches(CamManager)
     assert all(o[0] == "ok" for o in fanout["outcomes"])
     _assert_identical(fanout, coalesced)
 
 
 def test_fault_free_reliable_writes_identical():
-    fanout = _run_batches(False, is_write=True)
-    coalesced = _run_batches(True, is_write=True)
+    fanout = _run_batches(FanOutManager, is_write=True)
+    coalesced = _run_batches(CamManager, is_write=True)
     _assert_identical(fanout, coalesced)
 
 
 def test_transient_faults_retried_identically():
-    fanout = _run_batches(False, error_rate=0.02)
-    coalesced = _run_batches(True, error_rate=0.02)
+    fanout = _run_batches(FanOutManager, error_rate=0.02)
+    coalesced = _run_batches(CamManager, error_rate=0.02)
     assert fanout["retries"] > 0, (
         "fault config produced no retries; raise error_rate"
     )
@@ -149,18 +150,18 @@ def test_transient_faults_retried_identically():
 def test_shared_reactor_reliable_batches_identical():
     # more SSDs than reactors: groups span SSDs on the same reactor
     fanout = _run_batches(
-        False, num_ssds=8, num_cores=3, requests=512, error_rate=0.01
+        FanOutManager, num_ssds=8, num_cores=3, requests=512, error_rate=0.01
     )
     coalesced = _run_batches(
-        True, num_ssds=8, num_cores=3, requests=512, error_rate=0.01
+        CamManager, num_ssds=8, num_cores=3, requests=512, error_rate=0.01
     )
     _assert_identical(fanout, coalesced)
 
 
 def test_persistent_fault_exhausts_retries_identically():
     # LBA 0 of SSD 0 is hit by the deterministic batch pattern
-    fanout = _run_batches(False, persistent_faults=[(0, 0)])
-    coalesced = _run_batches(True, persistent_faults=[(0, 0)])
+    fanout = _run_batches(FanOutManager, persistent_faults=[(0, 0)])
+    coalesced = _run_batches(CamManager, persistent_faults=[(0, 0)])
     assert any(o[0] == "err" for o in fanout["outcomes"]), (
         "persistent fault never surfaced; check the LBA pattern"
     )
@@ -169,10 +170,10 @@ def test_persistent_fault_exhausts_retries_identically():
 
 
 def test_mid_flight_offline_device_identical():
-    """Satellite (b): ``set_offline`` mid-flight on a coalesced group
-    produces the same typed errors and completion counts as fan-out."""
-    fanout = _run_batches(False, offline=(1, 50e-6), batches=1)
-    coalesced = _run_batches(True, offline=(1, 50e-6), batches=1)
+    """``set_offline`` mid-flight on a coalesced group produces the
+    same typed errors and completion counts as fan-out."""
+    fanout = _run_batches(FanOutManager, offline=(1, 50e-6), batches=1)
+    coalesced = _run_batches(CamManager, offline=(1, 50e-6), batches=1)
     assert fanout["outcomes"][0][0] == "err"
     assert fanout["outcomes"][0][1] in (
         "DeviceOfflineError", "DeviceTimeoutError"
@@ -182,22 +183,13 @@ def test_mid_flight_offline_device_identical():
 
 
 def test_reliable_coalesced_processes_fewer_events():
-    fanout = _run_batches(False, num_ssds=8, num_cores=3, requests=512)
-    coalesced = _run_batches(True, num_ssds=8, num_cores=3, requests=512)
+    fanout = _run_batches(FanOutManager, num_ssds=8, num_cores=3, requests=512)
+    coalesced = _run_batches(CamManager, num_ssds=8, num_cores=3, requests=512)
     # the point of the exercise: same simulation, fewer heap events
     assert coalesced["events"] < 0.7 * fanout["events"]
 
 
-# -- satellite (a): the silent downgrade is gone ---------------------------
-
-def test_manager_keeps_coalesce_with_reliability():
-    """``coalesce=True`` + a reliability bundle must stay coalesced —
-    the PR 3 guard that silently downgraded to fan-out is deleted."""
-    platform = Platform(PlatformConfig(num_ssds=2), functional=False)
-    reliability = Reliability(platform)
-    manager = CamManager(platform, reliability=reliability, coalesce=True)
-    assert manager.coalesce is True
-
+# -- the silent downgrade is gone ------------------------------------------
 
 def test_driver_routes_reliable_batches_through_io_batch_reliable(
     monkeypatch,
@@ -208,7 +200,7 @@ def test_driver_routes_reliable_batches_through_io_batch_reliable(
     hands back the record's results."""
     platform = Platform(PlatformConfig(num_ssds=4), functional=False)
     reliability = Reliability(platform)
-    manager = CamManager(platform, reliability=reliability, coalesce=True)
+    manager = CamManager(platform, reliability=reliability)
     driver = manager.driver
     records = []
     walk = driver.walk
