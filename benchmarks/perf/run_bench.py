@@ -1,4 +1,4 @@
-"""Simulated gates: five sweeps checked against the golden table.
+"""Simulated gates: six sweeps checked against the golden table.
 
 Each sweep in :data:`SWEEPS` returns ``(measurements, gates)``: the
 simulated numbers it measured, and named booleans comparing them with
@@ -24,6 +24,11 @@ at one commit write byte-identical files.
 * ``disagg`` — the remote flash tier: tiered keeps the goodput floor
   of local-only, and a fabric partition ends every request, heals and
   loses no acked write.
+* ``cambench`` — each workload of ``benchmarks/cambench`` once per
+  seed in :data:`CAMBENCH_SEEDS`: its ``sim_fingerprint`` (a hash of
+  every simulated metric, to the last bit) and its heap events hold the
+  golden rows, so a "same simulated timeline" claim is a blocking check
+  rather than a hand-run ``compare``.
 
 Run from the repository root::
 
@@ -76,6 +81,9 @@ SERVING_SESSION_COUNTS = (100, 1000, 10000)
 #: GPU cache size for the serving points of the cache sweep (64 KiB
 #: KV-block lines)
 CACHE_GPU_BLOCKS = 2048
+
+#: seeds each cambench workload runs at in the cambench sweep
+CAMBENCH_SEEDS = (17, 18, 19)
 
 
 def _fig08_run(reliable=False, metrics=False):
@@ -327,12 +335,44 @@ def disagg():
     return measurements, gates
 
 
+def cambench():
+    # the benchmark's own modules, imported as they are
+    sys.path.insert(0, str(REPO / "benchmarks" / "cambench"))
+    import bench
+    from workloads import WORKLOADS
+
+    golden = GOLDEN["cambench_fingerprint"]
+    measurements, gates = {}, {}
+    for name, cls in WORKLOADS.items():
+        rows = {}
+        for seed in CAMBENCH_SEEDS:
+            outcome = bench.repetition(cls, seed, {})["outcome"]
+            row = None
+            if outcome is not None:
+                sim = bench.simulated_metrics(outcome)
+                row = {
+                    "sim_fingerprint": bench.fingerprint(sim),
+                    "sim.events": sim["sim.events"],
+                    "sim_end_s": sim["sim_end_s"],
+                    "violations": outcome.violations,
+                }
+            rows[str(seed)] = row
+            pin = golden[name][seed].value
+            gates[f"{name}.{seed}"] = (
+                row is not None and not row["violations"]
+                and all(row[key] == value for key, value in pin.items())
+            )
+        measurements[name] = rows
+    return {"seeds": list(CAMBENCH_SEEDS), "workloads": measurements}, gates
+
+
 SWEEPS = {
     "batch": batch,
     "autotune": autotune,
     "serving": serving,
     "cache": cache,
     "disagg": disagg,
+    "cambench": cambench,
 }
 
 

@@ -12,7 +12,7 @@ contention behind the paper's Issue 3 and Fig. 4.
 from __future__ import annotations
 
 import math
-from typing import Generator, List, Optional
+from typing import Generator, Optional
 
 from repro.config import BaMConfig
 from repro.errors import APIUsageError, ConfigurationError
@@ -98,10 +98,6 @@ class BamSystem:
             raise APIUsageError("BaM I/O engine not running")
         self.platform.gpu.release_sms(self._sm_grants)
         self._sm_grants = None
-
-    @property
-    def engine_running(self) -> bool:
-        return self._sm_grants is not None
 
     # -- I/O ------------------------------------------------------------------
     def io(

@@ -127,8 +127,6 @@ class CPUConfig:
     """Intel Xeon Gold 5320 (2 x 26 cores @ 2.20 GHz)."""
 
     name: str = "Xeon Gold 5320 x2"
-    cores: int = 52
-    frequency_hz: float = 2.2e9
 
 
 @dataclass(frozen=True)
@@ -205,10 +203,7 @@ class BaMConfig:
     I/O (Fig. 4), which is what serializes GIDS's extract and train phases.
     """
 
-    num_queues_per_ssd: int = 128
     queue_depth: int = 1024
-    cuda_threads: int = 262_144
-    block_size_threads: int = 64
     #: submit+poll IOPS one SM sustains
     iops_per_sm: float = 45_000.0
     #: synchronous-API latency a warp observes per request batch
@@ -226,8 +221,6 @@ class GDSConfig:
     #: serial CPU time per request across EXT4/NVFS/CUDA layers; calibrated
     #: so a 128 KiB tiled-GEMM stream lands near the paper's 0.8 GB/s
     per_request_cpu: float = 150.0 * US
-    #: fraction of the path that is file-system/NVFS bookkeeping
-    fs_overhead_fraction: float = 0.70
     #: concurrent requests the cuFile path keeps in flight
     max_inflight: int = 4
 
@@ -239,12 +232,12 @@ class CAMConfig:
     * per-request CPU matches SPDK's submission cost (CAM uses SPDK-style
       user-space queue pairs) plus the GPU->CPU doorbell amortized across a
       batch.
-    * ``iops_per_core`` ~= 1.11 M: Fig. 12 (one core drives 2 SSDs
-      losslessly; 4 SSDs per core land at ~75 % of full throughput).
+    * 0.90 µs ``per_request_cpu`` ⇒ 1.11 M IOPS per core: Fig. 12 (one
+      core drives 2 SSDs losslessly; 4 SSDs per core land at ~75 % of
+      full throughput).
     """
 
     per_request_cpu: float = 0.90 * US
-    iops_per_core: float = 1_111_111.0
     #: GPU-side cost of the leading thread writing the 4 sync regions
     doorbell_time: float = 1.2 * US
     #: CPU polling-loop granularity on the sync regions

@@ -116,6 +116,29 @@ class CamContext:
         if self._closed:
             raise APIUsageError("context is closed")
 
+    def check_batch(
+        self, lbas, buffer: Optional[GPUBuffer], granularity: int
+    ) -> np.ndarray:
+        """The batch preconditions both device APIs check before the
+        doorbell; returns ``lbas`` as an int64 array."""
+        self._check_open()
+        lbas = np.asarray(check_lbas(lbas), dtype=np.int64)
+        check_granularity(granularity)
+        if len(lbas) > self.max_batch_requests:
+            raise APIUsageError(
+                f"batch of {len(lbas)} exceeds max_batch_requests "
+                f"{self.max_batch_requests}"
+            )
+        if buffer is not None:
+            if not buffer.pinned:
+                raise APIUsageError("buffer must be pinned CAM_alloc memory")
+            if len(lbas) * granularity > buffer.size:
+                raise APIUsageError(
+                    f"batch of {len(lbas)} x {granularity}B overflows "
+                    f"{buffer.size}B buffer"
+                )
+        return lbas
+
     def __enter__(self) -> "CamContext":
         self._check_open()
         return self
@@ -212,24 +235,7 @@ class CamDeviceAPI:
         payloads,
     ) -> Generator:
         context = self.context
-        context._check_open()
-        lbas = np.asarray(check_lbas(lbas), dtype=np.int64)
-        check_granularity(granularity)
-        if len(lbas) > context.max_batch_requests:
-            raise APIUsageError(
-                f"batch of {len(lbas)} exceeds max_batch_requests "
-                f"{context.max_batch_requests}"
-            )
-        if buffer is not None:
-            if not buffer.pinned:
-                raise APIUsageError(
-                    "destination must be pinned CAM_alloc memory"
-                )
-            if len(lbas) * granularity > buffer.size:
-                raise APIUsageError(
-                    f"batch of {len(lbas)} x {granularity}B overflows "
-                    f"{buffer.size}B buffer"
-                )
+        lbas = context.check_batch(lbas, buffer, granularity)
         slot = "_pending_writeback" if is_write else "_pending_prefetch"
         if getattr(self, slot) is not None:
             raise APIUsageError(

@@ -15,7 +15,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from repro.core.control import BatchRequest, check_granularity, check_lbas
+from repro.core.control import BatchRequest
 from repro.errors import APIUsageError
 from repro.hw.gpu import GPUBuffer
 from repro.sim.core import Event
@@ -58,11 +58,7 @@ class CamAsyncAPI:
         Costs only the doorbell time on the GPU, like the sync API.
         """
         context = self.context
-        context._check_open()
-        lbas = np.asarray(check_lbas(lbas), dtype=np.int64)
-        check_granularity(granularity)
-        if buffer is not None and not buffer.pinned:
-            raise APIUsageError("buffer must be pinned CAM_alloc memory")
+        lbas = context.check_batch(lbas, buffer, granularity)
         yield self.env.timeout(context.config.doorbell_time)
         batch = BatchRequest(
             lbas=lbas,

@@ -67,7 +67,3 @@ class DirectDataPath:
         raise AllocationError(
             f"physical address {physical_address:#x} is not registered"
         )
-
-    @property
-    def registered_count(self) -> int:
-        return len(self._registered)

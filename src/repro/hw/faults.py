@@ -102,10 +102,6 @@ class FaultInjector:
     def is_offline(self, ssd_id: int) -> bool:
         return ssd_id in self._offline
 
-    @property
-    def offline_devices(self) -> Set[int]:
-        return set(self._offline)
-
     # -- reactor-scoped faults ------------------------------------------
     def stall_reactor(
         self, reactor_id: int, start: float, duration: float
@@ -215,7 +211,3 @@ class FaultInjector:
     @property
     def pending_one_shot(self) -> int:
         return len(self._one_shot)
-
-    @property
-    def pending_persistent(self) -> int:
-        return len(self._persistent)

@@ -147,13 +147,10 @@ class Platform:
     def aggregate_read_throughput(self) -> float:
         return sum(ssd.read_throughput() for ssd in self.ssds)
 
-    def aggregate_write_throughput(self) -> float:
-        return sum(ssd.write_throughput() for ssd in self.ssds)
-
     def __repr__(self) -> str:
         return (
             f"<Platform {self.config.gpu.name}, {self.num_ssds}x SSD, "
-            f"{self.config.cpu.cores} cores>"
+            f"{self.config.cpu.name}>"
         )
 
 

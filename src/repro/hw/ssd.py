@@ -31,7 +31,7 @@ are ordered, and with it the simulated timeline.
 from __future__ import annotations
 
 from heapq import heappush
-from typing import Dict, Generator, List, Optional
+from typing import Dict, Generator, Optional
 
 import numpy as np
 
@@ -187,7 +187,6 @@ class SSD:
         self._on_channel_done = [self._channel_done]
         self._after_link = self._moved
         self._after_traced_link = self._traced_moved
-        self._queue_pairs: List[QueuePair] = []
         self._next_qid = 0
 
         self.reads_completed = Counter(env)
@@ -204,13 +203,8 @@ class SSD:
             self.env, self._next_qid, depth or self.config.queue_depth
         )
         self._next_qid += 1
-        self._queue_pairs.append(qp)
         self.env.process(self._consume(qp))
         return qp
-
-    @property
-    def queue_pairs(self) -> List[QueuePair]:
-        return list(self._queue_pairs)
 
     # -- device-side processing ----------------------------------------------
     def submit_direct(self, qp: QueuePair, sqe: SQE) -> None:

@@ -28,10 +28,17 @@ the PR-4 overload contract.
 All metric pushes go through :class:`~repro.serving.metrics.
 ServingMetrics` and are guarded on one attribute test, keeping
 metrics-on runs bit-identical in simulated history to metrics-off runs.
+
+Host memory follows the sessions in flight, not the sessions scheduled:
+a session's process, its :class:`Session` object and its generator
+frame exist from its arrival to its last turn, the arrivals not yet due
+are one packed :class:`_Arrivals` record with a single heap entry, and
+TTFTs and queue waits are packed doubles.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Generator, List, Optional
 
@@ -44,6 +51,7 @@ from repro.obs.causal import mint_context
 from repro.serving.kvstore import KvBlockStore
 from repro.serving.metrics import ServingMetrics
 from repro.serving.sessions import Session, SessionPool, Turn
+from repro.sim.core import ReservedTimeline
 from repro.sim.resources import Resource
 
 
@@ -58,8 +66,9 @@ class ServingResult:
     tokens_done: int = 0
     #: simulated seconds from run start to last turn completion
     elapsed_s: float = 0.0
-    ttfts: List[float] = field(default_factory=list)
-    queue_waits: List[float] = field(default_factory=list)
+    #: per turn, in completion order, as packed doubles
+    ttfts: array = field(default_factory=lambda: array("d"))
+    queue_waits: array = field(default_factory=lambda: array("d"))
     kv_hits: int = 0
     kv_misses: int = 0
     kv_evictions: int = 0
@@ -165,6 +174,9 @@ class ServingEngine:
         self._slots = Resource(self.env, capacity=max_concurrent_decodes)
         self._smetrics: Optional[ServingMetrics] = None
         self._result: Optional[ServingResult] = None
+        #: sessions not yet finished, and the event the run waits on
+        self._sessions_left = 0
+        self._done = None
 
     # -- the run --------------------------------------------------------
     def run(self) -> ServingResult:
@@ -177,11 +189,11 @@ class ServingEngine:
             num_sessions=len(self.pool),
         )
         start = env.now
-        procs = [
-            env.process(self._session(session))
-            for session in self.pool.sessions()
-        ]
-        env.run(env.all_of(procs))
+        self._sessions_left = len(self.pool)
+        self._done = env.event()
+        _Arrivals(self).reserve_at_start(start + self.pool.arrivals)
+        env.run(self._done)
+        self._done = None
         result = self._result
         result.elapsed_s = env.now - start
         result.kv_hits = self.store.hits
@@ -191,8 +203,8 @@ class ServingEngine:
 
     # -- per-session process --------------------------------------------
     def _session(self, session: Session) -> Generator:
+        """Process: one session, from its arrival to its last turn."""
         env = self.env
-        yield env.timeout(session.arrival_s)
         smetrics = self._smetrics
         if smetrics is not None:
             smetrics.session_started()
@@ -230,6 +242,13 @@ class ServingEngine:
                     smetrics.decode_finished()
         if smetrics is not None:
             smetrics.session_finished()
+        self._sessions_left -= 1
+        if not self._sessions_left:
+            # the run ends where a run joining every session process
+            # would: two same-instant hops after the last one finishes
+            # (its process-end hop, then the join's own)
+            yield env.timeout(0)
+            self._done.succeed()
 
     def _turn(self, session: Session, turn: Turn,
               arrival: float, ctx=None) -> Generator:
@@ -528,3 +547,27 @@ class ServingEngine:
             f"<ServingEngine backend={self.backend.name} "
             f"sessions={len(self.pool)} overlap={self.overlap}>"
         )
+
+
+class _Arrivals(ReservedTimeline):
+    """The session arrivals of one run, one heap entry at a time.
+
+    Each session arrives at ``start + arrival_s`` under the heap key an
+    arrival timeout taken in session order would hold, had every
+    session's process started at run start and taken its first step
+    there: the keys are reserved in run start's URGENT slot (see
+    :meth:`~repro.sim.core.ReservedTimeline.reserve_at_start`).  Each
+    pop starts its session's process, whose first step comes at the
+    same instant before anything else does, so every session runs where
+    it would have.
+    """
+
+    __slots__ = ("engine",)
+
+    def __init__(self, engine: ServingEngine):
+        super().__init__(engine.env)
+        self.engine = engine
+
+    def fire(self, index: int) -> None:
+        engine = self.engine
+        engine.env.process(engine._session(engine.pool.session(index)))

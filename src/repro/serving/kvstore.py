@@ -13,7 +13,9 @@ The :class:`KvBlockStore` owns three things:
 * the **layout** (:class:`KvLayout`): tokens-per-block geometry and the
   block -> LBA mapping.  LBAs are allocated so the platform's RAID0
   striping (:meth:`~repro.hw.platform.Platform.ssd_for_lba`) maps block
-  ``i`` of the global allocation order to SSD ``i mod num_ssds``;
+  ``i`` of the global allocation order to SSD ``i mod num_ssds``; the
+  map is one packed array of allocation slots per session (8 bytes a
+  block), since it keeps every block a run ever allocated;
 * the **residency set**: which blocks currently sit in simulated
   GPU/host memory (``capacity_blocks``).  Everything else lives only on
   SSD and must be prefetched before a decode turn can use it;
@@ -36,6 +38,7 @@ the event heap.
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -202,8 +205,12 @@ class KvBlockStore:
         self.capacity_blocks = capacity_blocks
         self.policy = policy or LruPolicy()
         self.policy.bind(self)
-        #: block -> global LBA (allocation is permanent for a session)
-        self._lbas: Dict[BlockKey, int] = {}
+        self._layers = self.layout.num_layers
+        #: session -> the allocation slot of each of its blocks, packed
+        #: index-major (block ``(session, layer, index)`` at
+        #: ``index * num_layers + layer``); a block's LBA is its slot
+        #: times ``stripe_blocks``, and allocation is permanent
+        self._slots: Dict[int, array] = {}
         #: session -> tokens appended so far
         self._tokens: Dict[int, int] = {}
         self._resident: set = set()
@@ -220,17 +227,24 @@ class KvBlockStore:
         self.overflow_admissions = 0
 
     # -- layout ---------------------------------------------------------
-    def _allocate(self, block: BlockKey) -> int:
-        slot = self._next_slot
-        self._next_slot += 1
-        lba = slot * self.stripe_blocks
-        ssd, _ = self.platform.ssd_for_lba(lba, self.stripe_blocks)
-        self.blocks_per_ssd[ssd.ssd_id] += 1
-        self._lbas[block] = lba
-        return lba
+    def _position(self, block: BlockKey) -> Optional[int]:
+        """Where ``block`` sits in its session's slot array, or None
+        when it was never allocated."""
+        session_id, layer, index = block
+        slots = self._slots.get(session_id)
+        layers = self._layers
+        position = index * layers + layer
+        if slots is None or not (
+            0 <= layer < layers and 0 <= position < len(slots)
+        ):
+            return None
+        return position
 
     def lba_of(self, block: BlockKey) -> int:
-        return self._lbas[block]
+        position = self._position(block)
+        if position is None:
+            raise KeyError(block)
+        return self._slots[block[0]][position] * self.stripe_blocks
 
     def session_tokens(self, session_id: int) -> int:
         return self._tokens.get(session_id, 0)
@@ -250,7 +264,7 @@ class KvBlockStore:
 
     @property
     def allocated_blocks(self) -> int:
-        return len(self._lbas)
+        return self._next_slot
 
     @property
     def resident_blocks(self) -> int:
@@ -275,10 +289,25 @@ class KvBlockStore:
         self._tokens[session_id] = self.session_tokens(session_id) + tokens
         after = self.session_layer_blocks(session_id)
         created: List[Tuple[BlockKey, int]] = []
-        for layer in range(self.layout.num_layers):
+        if after == before:
+            return created
+        layers = self._layers
+        slots = self._slots.get(session_id)
+        if slots is None:
+            slots = self._slots[session_id] = array("q")
+        slots.extend([0] * (layers * (after - before)))
+        stripe_blocks = self.stripe_blocks
+        num_ssds = len(self.blocks_per_ssd)
+        # slots go out layer-major, so consecutive blocks of one layer
+        # round-robin across the array
+        for layer in range(layers):
             for index in range(before, after):
+                slot = self._next_slot
+                self._next_slot = slot + 1
+                slots[index * layers + layer] = slot
+                self.blocks_per_ssd[slot % num_ssds] += 1
                 block = (session_id, layer, index)
-                created.append((block, self._allocate(block)))
+                created.append((block, slot * stripe_blocks))
                 self.admit(block)
         return created
 
@@ -296,12 +325,18 @@ class KvBlockStore:
         )
         hits: List[BlockKey] = []
         missing: List[Tuple[BlockKey, int]] = []
+        slots = self._slots.get(session_id)
+        layers = self._layers
+        stripe_blocks = self.stripe_blocks
         for block in required:
             if block in self._resident:
                 self.policy.touch(block)
                 hits.append(block)
             else:
-                missing.append((block, self._lbas[block]))
+                _, layer, index = block
+                missing.append((
+                    block, slots[index * layers + layer] * stripe_blocks,
+                ))
         self.hits += len(hits)
         self.misses += len(missing)
         return hits, missing
@@ -313,7 +348,7 @@ class KvBlockStore:
         when they were produced).  Pinned blocks are never victims; if
         everything is pinned the store goes temporarily over capacity.
         """
-        if block not in self._lbas:
+        if self._position(block) is None:
             raise ConfigurationError(f"admit of unallocated block {block}")
         self._resident.add(block)
         self.policy.touch(block)

@@ -17,7 +17,8 @@ quick-mode runs stay comparable across backends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
@@ -89,28 +90,39 @@ class SessionConfig:
 
 
 class SessionPool:
-    """Deterministically pre-generated sessions for one serving run."""
+    """Deterministically pre-generated sessions for one serving run.
+
+    The draws are stored packed: arrival times as one float64 array,
+    turns as flat arrays indexed through per-session offsets, under 100
+    bytes per session where :class:`Session` and :class:`Turn` objects
+    take about 1.3 KB.  :meth:`session` builds one session's objects on
+    demand, equal to those a list of objects would have held.
+    """
 
     def __init__(self, config: SessionConfig):
         self.config = config
         rng = np.random.default_rng(config.seed)
-        arrivals = np.cumsum(
+        #: arrival of each session, seconds after run start
+        self.arrivals = np.cumsum(
             rng.exponential(
                 1.0 / config.arrival_rate, size=config.num_sessions
             )
         )
-        self._sessions: List[Session] = []
-        for session_id in range(config.num_sessions):
+        #: session i owns turns ``first_turn[i]:first_turn[i + 1]``
+        self._first_turn = array("q", [0])
+        self._think = array("d")
+        self._prompt = array("q")
+        self._decode = array("q")
+        for _ in range(config.num_sessions):
             num_turns = int(
                 rng.integers(config.turns_min, config.turns_max + 1)
             )
-            turns = []
             for turn_index in range(num_turns):
-                think = (
+                self._think.append(
                     0.0 if turn_index == 0
                     else float(rng.exponential(config.mean_think_s))
                 )
-                prompt = int(
+                self._prompt.append(int(
                     rng.integers(
                         config.context_min_tokens,
                         config.context_max_tokens + 1,
@@ -120,32 +132,43 @@ class SessionPool:
                         config.prompt_min_tokens,
                         config.prompt_max_tokens + 1,
                     )
-                )
-                decode = int(
+                ))
+                self._decode.append(int(
                     rng.integers(
                         config.decode_min_tokens,
                         config.decode_max_tokens + 1,
                     )
-                )
-                turns.append(Turn(think, prompt, decode))
-            self._sessions.append(
-                Session(session_id, float(arrivals[session_id]),
-                        tuple(turns))
-            )
+                ))
+            self._first_turn.append(len(self._think))
+
+    def session(self, session_id: int) -> Session:
+        """Session ``session_id``, built from the packed draws."""
+        if not 0 <= session_id < len(self):
+            raise IndexError(f"no session {session_id} in {self!r}")
+        first = self._first_turn[session_id]
+        last = self._first_turn[session_id + 1]
+        return Session(
+            session_id,
+            float(self.arrivals[session_id]),
+            tuple(map(
+                Turn, self._think[first:last], self._prompt[first:last],
+                self._decode[first:last],
+            )),
+        )
 
     def sessions(self) -> List[Session]:
-        return list(self._sessions)
+        return [self.session(i) for i in range(len(self))]
 
     @property
     def total_turns(self) -> int:
-        return sum(len(s.turns) for s in self._sessions)
+        return len(self._think)
 
     @property
     def total_decode_tokens(self) -> int:
-        return sum(s.total_decode_tokens for s in self._sessions)
+        return sum(self._decode)
 
     def __len__(self) -> int:
-        return len(self._sessions)
+        return len(self.arrivals)
 
     def __repr__(self) -> str:
         return (

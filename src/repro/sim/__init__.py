@@ -8,6 +8,7 @@ processes, resource requests) to advance simulated time.
 Public surface:
 
 * :class:`Environment`, :class:`Event`, :class:`Timeout`, :class:`Process`
+* :class:`ReservedTimeline` — events under heap keys reserved in advance
 * :class:`AllOf`, :class:`AnyOf` condition events
 * :class:`Resource`, :class:`PriorityResource`, :class:`Store`,
   :class:`Container`
@@ -21,6 +22,7 @@ from repro.sim.core import (
     Environment,
     Event,
     Process,
+    ReservedTimeline,
     Timeout,
 )
 from repro.sim.resources import Container, PriorityResource, Resource, Store
@@ -37,6 +39,7 @@ __all__ = [
     "Event",
     "PriorityResource",
     "Process",
+    "ReservedTimeline",
     "Resource",
     "Store",
     "TimeWeightedStat",

@@ -31,6 +31,7 @@ exactly the same places as before.
 
 from __future__ import annotations
 
+from array import array
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
@@ -162,6 +163,86 @@ class Timeout(Event):
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self._delay}>"
+
+
+class ReservedTimeline(Event):
+    """A run of events that pop under heap keys reserved in advance,
+    with one heap entry at a time.
+
+    :meth:`reserve` takes the heap sequence number an event created at
+    this moment would take and appends ``(time, sequence)`` to packed
+    arrays; only the earliest pending entry is on the heap, under its
+    reserved key.  Its pop pushes the next one under that one's key and
+    then calls :meth:`fire` with the popped entry's index.  Entries must
+    be reserved in increasing ``(time, sequence)`` order, so each pops
+    exactly where an event of its own would have, while the heap holds
+    one entry and the arrays 16 bytes per entry.  Subclasses define
+    :meth:`fire`.
+    """
+
+    __slots__ = ("times", "sequences", "head", "_deferred")
+
+    def __init__(self, env: "Environment"):
+        self.env = env
+        #: ``_POP_RESERVED`` while an entry is on the heap, else None
+        self.callbacks = None
+        self._ok = True
+        self._value = None
+        self._defused = False
+        self.times = array("d")
+        self.sequences = array("q")
+        #: the entry on the heap, or the next one to be reserved
+        self.head = 0
+        #: times waiting for :meth:`reserve_at_start`'s slot to pop
+        self._deferred = None
+
+    def reserve(self, time: float) -> None:
+        """Reserve the next heap key for an entry popping at ``time``."""
+        env = self.env
+        env._eid += 1
+        self.times.append(time)
+        self.sequences.append(env._eid)
+        if self.callbacks is None:
+            # no entry pending: this one goes on, timed by the packed
+            # double so the clock stays a float whatever ``time`` was
+            self.callbacks = _POP_RESERVED
+            heappush(env._heap, (self.times[-1], NORMAL, env._eid, self))
+
+    def reserve_at_start(self, times: Iterable[float]) -> None:
+        """:meth:`reserve` each of ``times`` where a process started
+        now would: in its first step, which runs at this instant's
+        URGENT slot.  The slot costs one heap event."""
+        self._deferred = times
+        self.callbacks = _OPEN_RESERVED
+        self.env._schedule(self, URGENT, 0.0)
+
+    def fire(self, index: int) -> None:
+        """Called when entry ``index`` pops, after the next went on."""
+        raise NotImplementedError
+
+
+def _pop_reserved(timeline: ReservedTimeline) -> None:
+    """Heap callback of a :class:`ReservedTimeline` entry."""
+    index = timeline.head
+    timeline.head = head = index + 1
+    if head < len(timeline.times):
+        timeline.callbacks = _POP_RESERVED
+        heappush(timeline.env._heap, (
+            timeline.times[head], NORMAL, timeline.sequences[head],
+            timeline,
+        ))
+    timeline.fire(index)
+
+
+def _open_reserved(timeline: ReservedTimeline) -> None:
+    """Heap callback of :meth:`ReservedTimeline.reserve_at_start`."""
+    times, timeline._deferred = timeline._deferred, None
+    for time in times:
+        timeline.reserve(time)
+
+
+_POP_RESERVED = [_pop_reserved]
+_OPEN_RESERVED = [_open_reserved]
 
 
 class Initialize(Event):

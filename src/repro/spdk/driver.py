@@ -27,7 +27,9 @@ from repro.errors import (
 from repro.hw.nvme import SQE, NVMeOpcode
 from repro.hw.platform import Platform
 from repro.oskernel.blockio import CompletionDispatcher
-from repro.sim.core import _PENDING, NORMAL, Event, Timeout
+from repro.sim.core import (
+    _PENDING, NORMAL, Event, ReservedTimeline, Timeout,
+)
 from repro.sim.stats import Counter
 from repro.spdk.reactor import Reactor, ReactorPool, ReactorSupervisor
 
@@ -834,54 +836,65 @@ class _ReliableWalk(_Walk):
         _reliable_submitted(self)
 
 
-class _DeadlineTimer(Event):
+class _DeadlineTimer(ReservedTimeline):
     """The watchdog deadlines of one reliable walk's requests, one heap
     entry at a time.
 
-    Arming a deadline reserves its heap sequence number and appends
-    ``(expiry, sequence, position)`` to packed arrays.  Only the
-    earliest pending deadline is on the heap, under its reserved key;
-    its pop pushes the next one under that one's key, then fails its
-    request unless the first CQE has arrived.  A walk arms in increasing
-    ``(expiry, sequence)`` order (its deadline is fixed and time never
-    runs back), so each deadline pops where a heap entry of its own
-    would have.  Once the walk hands its results over the timer lets go
-    of it: the deadlines still pending pop as no-ops that pin nothing
-    but these arrays.
+    Arming a deadline reserves its heap key on the
+    :class:`~repro.sim.core.ReservedTimeline` and records its request's
+    position.  A walk arms in increasing ``(expiry, sequence)`` order
+    (its deadline is fixed and time never runs back), so each deadline
+    pops where a heap entry of its own would have.  Once the walk hands
+    its results over the timer lets go of it: the deadlines still
+    pending pop as no-ops that pin nothing but the packed arrays.
     """
 
-    __slots__ = ("walk", "expiries", "sequences", "positions", "head")
+    __slots__ = ("walk", "positions")
 
     def __init__(self, walk: _ReliableWalk):
-        self.env = walk.env
-        #: ``_ON_DEADLINE`` while a deadline is on the heap, else None
-        self.callbacks = None
-        self._ok = True
-        self._value = None
-        self._defused = False
+        super().__init__(walk.env)
         #: the walk, until it hands its results over
         self.walk = walk
-        self.expiries = array("d")
-        self.sequences = array("q")
         #: index into the walk's ``items`` of each deadline's request
         self.positions = array("q")
-        #: the deadline on the heap, or the next one to be armed
-        self.head = 0
+
+    def fire(self, index: int) -> None:
+        """A request's watchdog deadline passed."""
+        walk = self.walk
+        if walk is None:
+            return  # the walk has handed its results over
+        orig_index, ssd_index, local_lba, _ = walk.items[
+            self.positions[index]
+        ]
+        if orig_index in walk.outcomes or orig_index in walk.retrying:
+            return
+        driver = walk.driver
+        reliability = driver.reliability
+        watchdog = reliability.watchdog
+        watchdog.timeouts_fired += 1
+        error = watchdog.classify(
+            ssd_ids=(ssd_index,),
+            fault_injector=driver.platform.fault_injector,
+            deadline=walk.deadline,
+            description=f"spdk ssd {ssd_index} lba {local_lba}",
+        )
+        tracer = walk.tracer
+        if tracer is not None:
+            tracer.instant(
+                "watchdog_timeout",
+                parent=walk.parent_span,
+                deadline=walk.deadline,
+                offline=isinstance(error, DeviceOfflineError),
+            )
+        reliability.health.mark_offline(ssd_index)
+        _settle(walk, orig_index, error)
 
 
 def _arm(walk: _ReliableWalk, position: int) -> None:
     """Arm the watchdog deadline of ``walk.items[position]``."""
     timer = walk.timer
-    env = walk.env
-    env._eid += 1
-    expiry = env._now + walk.deadline
-    timer.expiries.append(expiry)
-    timer.sequences.append(env._eid)
     timer.positions.append(position)
-    if timer.callbacks is None:
-        # none of the walk's deadlines is pending: this one goes on
-        timer.callbacks = _ON_DEADLINE
-        heappush(env._heap, (expiry, NORMAL, env._eid, timer))
+    timer.reserve(walk.env._now + walk.deadline)
 
 
 def _reliable_granted(walk: _ReliableWalk) -> None:
@@ -1043,46 +1056,6 @@ def _reliable_sink(walk: _ReliableWalk, cqe) -> None:
     env.process(_redrive(walk, item, cqe, hop))
 
 
-def _deadline_expired(timer: _DeadlineTimer) -> None:
-    """Heap callback: a request's watchdog deadline passed.  The next
-    pending deadline goes on the heap first, under its reserved key."""
-    head = timer.head
-    position = timer.positions[head]
-    head += 1
-    timer.head = head
-    if head < len(timer.expiries):
-        timer.callbacks = _ON_DEADLINE
-        heappush(timer.env._heap, (
-            timer.expiries[head], NORMAL, timer.sequences[head], timer,
-        ))
-    walk = timer.walk
-    if walk is None:
-        return  # the walk has handed its results over
-    orig_index, ssd_index, local_lba, _ = walk.items[position]
-    if orig_index in walk.outcomes or orig_index in walk.retrying:
-        return
-    driver = walk.driver
-    reliability = driver.reliability
-    watchdog = reliability.watchdog
-    watchdog.timeouts_fired += 1
-    error = watchdog.classify(
-        ssd_ids=(ssd_index,),
-        fault_injector=driver.platform.fault_injector,
-        deadline=walk.deadline,
-        description=f"spdk ssd {ssd_index} lba {local_lba}",
-    )
-    tracer = walk.tracer
-    if tracer is not None:
-        tracer.instant(
-            "watchdog_timeout",
-            parent=walk.parent_span,
-            deadline=walk.deadline,
-            offline=isinstance(error, DeviceOfflineError),
-        )
-    reliability.health.mark_offline(ssd_index)
-    _settle(walk, orig_index, error)
-
-
 def _redrive(walk: _ReliableWalk, item, first_cqe=None, hop=None):
     """Process: one request of a walk on the full per-request reliable
     path.
@@ -1185,4 +1158,3 @@ _ON_RELIABLE_GRANT = [_reliable_granted]
 _ON_RELIABLE_CHARGED = [_reliable_charged]
 _ON_HOP = [_reliable_step]
 _ON_ALL_DONE = [_reliable_done]
-_ON_DEADLINE = [_deadline_expired]

@@ -23,7 +23,7 @@ import numpy as np
 from repro.backends.base import StorageBackend, make_backend
 from repro.errors import ConfigurationError
 from repro.hw.platform import Platform
-from repro.units import KiB, MiB
+from repro.units import KiB
 from repro.workloads.pipelines import PipelineReport, run_two_stage_pipeline
 from repro.workloads.vdisk import VirtualDisk
 
@@ -46,12 +46,6 @@ class GemmResult:
     bytes_moved: int
     flops: float
     verified: bool
-
-    @property
-    def achieved_io_bandwidth(self) -> float:
-        if self.report.io_time <= 0:
-            return 0.0
-        return self.bytes_moved / self.report.io_time
 
 
 class OutOfCoreGemm:

@@ -2,6 +2,7 @@
 
 Each row is ``name -> Golden(value, commit, reason)``: the value, the
 commit it was measured or set at, and why the simulation must hold it.
+``cambench_fingerprint`` nests one row per workload and seed.
 ``benchmarks/perf/run_bench.py`` and the tests read their pins from
 here; a change that moves one of these values changed the simulation,
 and must say why in CHANGES.md along with the new row.
@@ -16,6 +17,19 @@ class Golden(NamedTuple):
     value: Any
     commit: str
     reason: str
+
+
+def _cambench_rows(commit, reason, rows):
+    """One cambench workload's rows: ``seed -> Golden`` of its
+    ``sim_fingerprint`` and ``sim.events`` (``run_bench.py``'s
+    ``cambench`` sweep)."""
+    return {
+        seed: Golden(
+            {"sim_fingerprint": fingerprint, "sim.events": events},
+            commit, reason,
+        )
+        for seed, (fingerprint, events) in rows.items()
+    }
 
 
 GOLDEN = {
@@ -46,4 +60,48 @@ GOLDEN = {
         "float slack on elastic >= best static throughput, so identical "
         "simulated runs tie instead of failing on rounding",
     ),
+    "cambench_fingerprint": {
+        "batch_read": _cambench_rows(
+            "250c9c8", "the coalesced fail-fast walk's simulated timeline", {
+                17: ("4c3d0067fdbaa728", 227146),
+                18: ("778a7041e2825720", 226811),
+                19: ("2d2d6fb027454965", 226971),
+            },
+        ),
+        "batch_rw_reliable": _cambench_rows(
+            "250c9c8", "the reliable walk's timeline under injected media "
+            "errors: retries, watchdog deadlines and re-drives", {
+                17: ("1f29a95b06f5e02f", 236983),
+                18: ("6d5937fe8f8c3ffd", 237700),
+                19: ("343416a631d6ea51", 237521),
+            },
+        ),
+        "serving_kv": _cambench_rows(
+            "250c9c8", "10^4-session serving; sessions start at their "
+            "arrival under reserved heap keys, which took sim.events "
+            "down by exactly 9 998 (N - 2 for N sessions) from "
+            "1 962 281 / 1 970 805 / 1 962 805 at 250c9c8 itself, with "
+            "every other simulated metric unchanged", {
+                17: ("15219e443fb99eb1", 1952283),
+                18: ("e36264413e0b033e", 1960807),
+                19: ("59ad0fa31db00a79", 1952807),
+            },
+        ),
+        "graph_cache": _cambench_rows(
+            "250c9c8", "GPU cache residency and readahead on the GNN "
+            "feature gather", {
+                17: ("9d41130574a0b2b2", 277389),
+                18: ("e5f3e679592fd386", 281062),
+                19: ("693fdbc1b7e7b48a", 274277),
+            },
+        ),
+        "disagg_tiered": _cambench_rows(
+            "250c9c8", "the remote flash tier: fabric, replicas and "
+            "write-back", {
+                17: ("1a595e3899e32856", 369374),
+                18: ("c579c8f677c2d15a", 373221),
+                19: ("13f9e863f66662db", 371626),
+            },
+        ),
+    },
 }

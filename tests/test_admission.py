@@ -340,6 +340,55 @@ def test_entry_points_reject_a_bad_granularity_before_admission(
     assert admission.inflight_bytes == 0
 
 
+#: batches the device APIs must refuse before the doorbell, as
+#: ``(max_batch_requests, 4 KiB LBAs, buffer bytes, error text)``.  The
+#: async API let both through: the oversized batch completed 16 KiB
+#: into the 4 KiB buffer on a timing platform and raised
+#: AllocationError out of ``env.run`` from the walk on a functional one
+_OVERSIZED_BATCHES = {
+    "overflows the buffer": (65536, 4, 4096, "overflows"),
+    "over max_batch_requests": (
+        2, 3, 3 * 4096, "exceeds max_batch_requests",
+    ),
+}
+
+
+@pytest.mark.parametrize("functional", [False, True],
+                         ids=["timing", "functional"])
+@pytest.mark.parametrize("entry", ["device api", "async api"])
+@pytest.mark.parametrize("name", sorted(_OVERSIZED_BATCHES))
+def test_device_apis_reject_an_oversized_batch_before_admission(
+    name, entry, functional
+):
+    limit, count, buffer_bytes, message = _OVERSIZED_BATCHES[name]
+    platform = Platform(PlatformConfig(num_ssds=2), functional=functional)
+    env = platform.env
+    admission = AdmissionController(env)
+    context = CamContext(
+        platform, admission=admission, max_batch_requests=limit,
+    )
+    buffer = context.alloc(buffer_bytes)
+    lbas = np.arange(count, dtype=np.int64) * 8
+    device_api = context.device_api()
+    async_api = CamAsyncAPI(context)
+
+    def kernel():
+        with pytest.raises(APIUsageError, match=message):
+            if entry == "device api":
+                yield from device_api.prefetch(lbas, buffer, 4096)
+                yield from device_api.prefetch_synchronize()
+            else:
+                ticket = yield from async_api.submit(lbas, buffer, 4096)
+                yield from async_api.wait(ticket)
+        # no doorbell time spent, nothing admitted
+        assert env.now == 0.0
+        assert admission.admitted_requests.total == 0
+        assert admission.inflight_bytes == 0
+
+    env.run(env.process(kernel()))
+    assert context.manager.batches_done.total == 0
+
+
 @pytest.mark.parametrize("sliced", [False, True])
 @pytest.mark.parametrize("payload_count", [0, 3, 9])
 def test_manager_ring_rejects_mismatched_payloads_before_admission(

@@ -1,7 +1,12 @@
 """Unit tests for the platform configuration."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
+import repro.config
 from repro.config import (
     DEFAULT_PLATFORM,
     CAMConfig,
@@ -16,7 +21,7 @@ def test_default_matches_table_iii():
     config = DEFAULT_PLATFORM
     assert config.num_ssds == 12
     assert config.gpu.num_sms == 108
-    assert config.cpu.cores == 52
+    assert "Xeon Gold 5320" in config.cpu.name
     assert "P5510" in config.ssd.name
 
 
@@ -65,3 +70,26 @@ def test_summary_mentions_all_parts():
     summary = DEFAULT_PLATFORM.summary()
     assert set(summary) == {"CPU", "CPU Memory", "GPU", "SSD", "PCIe"}
     assert "12 x" in summary["SSD"]
+
+
+def test_every_config_field_is_read_in_src():
+    """A config field nothing reads is a setting that changes nothing:
+    every field of every config dataclass is read as an attribute
+    somewhere in the package."""
+    package = Path(repro.config.__file__).resolve().parent
+    source = "\n".join(
+        path.read_text() for path in sorted(package.rglob("*.py"))
+    )
+    configs = [
+        cls for cls in vars(repro.config).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+        and cls.__module__ == repro.config.__name__
+    ]
+    assert len(configs) >= 10
+    unread = [
+        f"{cls.__name__}.{field.name}"
+        for cls in configs
+        for field in dataclasses.fields(cls)
+        if not re.search(rf"\.{field.name}\b", source)
+    ]
+    assert unread == []

@@ -886,7 +886,7 @@ def test_a_reliable_walk_has_at_most_one_deadline_on_the_heap():
             timers[id(timer)] = timer
     # one timer per walk: two reactors per batch
     assert len(timers) == 2 * len(batches)
-    assert sum(len(timer.expiries) for timer in timers.values()) == 352
+    assert sum(len(timer.times) for timer in timers.values()) == 352
     assert all(timer.walk is None for timer in timers.values())
     assert reliability.retries.total == 2
     assert manager.batches_done.total == len(batches)

@@ -1,7 +1,7 @@
 """The simulated-gate harness: where it writes, its exit code, its names.
 
-A stub sweep stands in for the five real ones, which take about a
-minute together and run in the CI ``gates`` job.
+A stub sweep stands in for the six real ones, which take about two
+and a half minutes together and run in the CI ``gates`` job.
 """
 
 import importlib.util

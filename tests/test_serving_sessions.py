@@ -1,9 +1,10 @@
 """SessionPool: seed determinism and arrival-model bounds."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.serving import SessionConfig, SessionPool
+from repro.serving import Session, SessionConfig, SessionPool, Turn
 
 
 def test_same_seed_same_pool():
@@ -46,6 +47,57 @@ def test_draws_respect_configured_bounds():
     assert pool.total_decode_tokens == sum(
         s.total_decode_tokens for s in pool.sessions()
     )
+
+
+def _object_sessions(config):
+    """The pool drawn straight into objects: the same RNG calls in the
+    same order, one :class:`Session` and its :class:`Turn` objects per
+    session."""
+    rng = np.random.default_rng(config.seed)
+    arrivals = np.cumsum(
+        rng.exponential(1.0 / config.arrival_rate, size=config.num_sessions)
+    )
+    sessions = []
+    for session_id in range(config.num_sessions):
+        turns = []
+        for turn_index in range(
+            int(rng.integers(config.turns_min, config.turns_max + 1))
+        ):
+            think = (
+                0.0 if turn_index == 0
+                else float(rng.exponential(config.mean_think_s))
+            )
+            prompt = int(
+                rng.integers(config.context_min_tokens,
+                             config.context_max_tokens + 1)
+                if turn_index == 0
+                else rng.integers(config.prompt_min_tokens,
+                                  config.prompt_max_tokens + 1)
+            )
+            decode = int(rng.integers(config.decode_min_tokens,
+                                      config.decode_max_tokens + 1))
+            turns.append(Turn(think, prompt, decode))
+        sessions.append(
+            Session(session_id, float(arrivals[session_id]), tuple(turns))
+        )
+    return sessions
+
+
+@pytest.mark.parametrize("seed, mean_think_s", [(17, 20e-3), (5, 0.0)])
+def test_packed_pool_builds_the_objects_it_drew(seed, mean_think_s):
+    config = SessionConfig(num_sessions=300, seed=seed,
+                           mean_think_s=mean_think_s, turns_max=4)
+    pool = SessionPool(config)
+    expected = _object_sessions(config)
+    assert pool.sessions() == expected
+    assert len(pool) == len(expected)
+    assert pool.total_turns == sum(len(s.turns) for s in expected)
+    assert pool.total_decode_tokens == sum(
+        s.total_decode_tokens for s in expected
+    )
+    for session_id in (-1, len(pool)):
+        with pytest.raises(IndexError):
+            pool.session(session_id)
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ProcessInterrupt, SimulationError
-from repro.sim import AllOf, AnyOf, Environment
+from repro.sim import AllOf, AnyOf, Environment, ReservedTimeline
 
 
 def test_timeout_advances_clock():
@@ -244,3 +244,87 @@ def test_waiting_on_already_processed_event():
 
     process = env.process(late_waiter())
     assert env.run(process) == "v"
+
+
+# -- reserved heap keys -------------------------------------------------
+
+
+class _Logged(ReservedTimeline):
+    __slots__ = ("log",)
+
+    def __init__(self, env, log):
+        super().__init__(env)
+        self.log = log
+
+    def fire(self, index):
+        self.log.append(("entry", index, self.env.now))
+
+
+def _tie_log(reserved):
+    """Four entries due at 1, 2, 2 and 3 s, and two processes whose
+    timeouts fall on the same instants, one started before the entries
+    and one after.  ``reserved`` keeps the entries on one
+    :class:`ReservedTimeline`; otherwise each is a process started at
+    run start, parked on a ``Timeout`` of its own."""
+    env = Environment()
+    log = []
+    times = [1.0, 2.0, 2.0, 3.0]
+
+    def noise(name, delays):
+        for delay in delays:
+            yield env.timeout(delay)
+            log.append((name, env.now))
+
+    def entry(index, time):
+        yield env.timeout(time)
+        log.append(("entry", index, env.now))
+
+    env.process(noise("before", [2.0, 1.0]))
+    if reserved:
+        _Logged(env, log).reserve_at_start(times)
+    else:
+        for index, time in enumerate(times):
+            env.process(entry(index, time))
+    env.process(noise("after", [1.0, 1.0, 1.0]))
+    env.run()
+    return log, env.now
+
+
+def test_reserved_entries_pop_where_their_own_timeouts_would():
+    log, now = _tie_log(reserved=True)
+    assert (log, now) == _tie_log(reserved=False)
+    assert [item[0] for item in log] == [
+        "entry", "after",  # 1 s
+        "before", "entry", "entry", "after",  # 2 s
+        "entry", "before", "after",  # 3 s: the entry's key is older
+    ]
+
+
+def test_reserve_keeps_the_key_of_the_moment_it_was_called():
+    """Entries reserved one at a time while time runs (a watchdog
+    arming deadlines) pop where a ``Timeout`` created then would."""
+    def run(reserved):
+        env = Environment()
+        log = []
+        timeline = _Logged(env, log)
+
+        def arm():
+            for index in range(4):
+                if reserved:
+                    timeline.reserve(env.now + 1.5)
+                else:
+                    env.timeout(1.5).callbacks.append(
+                        lambda _, index=index: log.append(
+                            ("entry", index, env.now)
+                        )
+                    )
+                yield env.timeout(0.5)
+                log.append(("armer", env.now))
+
+        env.process(arm())
+        env.run()
+        return log
+
+    log = run(reserved=True)
+    assert log == run(reserved=False)
+    assert len(log) == 8
