@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import itertools
-import sys
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -19,13 +18,6 @@ from repro.sim.core import Environment
 from repro.sim.resources import Store
 
 _command_ids = itertools.count(1)
-
-#: slotted dataclasses (3.10+) spare one dict allocation per SQE/CQE —
-#: the two hottest allocations in a simulation run
-if sys.version_info >= (3, 10):
-    _ring_entry = dataclass(slots=True)
-else:  # pragma: no cover - 3.9 fallback
-    _ring_entry = dataclass
 
 
 class NVMeOpcode(enum.Enum):
@@ -40,7 +32,9 @@ class NVMeOpcode(enum.Enum):
         return self is NVMeOpcode.WRITE
 
 
-@_ring_entry
+# SQEs and CQEs are the two hottest allocations in a simulation run, so
+# both are slotted: no per-entry dict
+@dataclass(slots=True)
 class SQE:
     """Submission Queue Entry.
 
@@ -66,7 +60,7 @@ class SQE:
         return self.num_blocks * block_size
 
 
-@_ring_entry
+@dataclass(slots=True)
 class CQE:
     """Completion Queue Entry."""
 

@@ -204,8 +204,8 @@ def export_trace_csv(source, path) -> int:
                     span.span_id,
                     "" if span.parent_id is None else span.parent_id,
                     span.name,
-                    repr(span.begin),
-                    repr(span.end),
+                    repr(float(span.begin)),
+                    repr(float(span.end)),
                     _dump_tags(span.tags),
                 ]
             )

@@ -10,11 +10,17 @@ structure.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+
+#: destinations drawn per ``Generator.random`` call; chunked calls read
+#: the PCG64 stream exactly as one call does, so this sets only the size
+#: of the float scratch buffer, never the graph
+_DRAW_CHUNK = 1 << 16
 
 
 class CSRGraph:
@@ -47,29 +53,32 @@ class CSRGraph:
         """Out-degree of one node, or the whole degree array."""
         if node is None:
             return np.diff(self.indptr)
+        self._check_node(node)
         return int(self.indptr[node + 1] - self.indptr[node])
 
     def neighbors(self, node: int) -> np.ndarray:
+        self._check_node(node)
+        return self.indices[self.indptr[node] : self.indptr[node + 1]]
+
+    def _check_node(self, node: int) -> None:
         if not 0 <= node < self.num_nodes:
             raise ConfigurationError(f"node {node} out of range")
-        return self.indices[self.indptr[node] : self.indptr[node + 1]]
 
     @classmethod
     def from_edges(
         cls, num_nodes: int, src: np.ndarray, dst: np.ndarray
     ) -> "CSRGraph":
-        """Build CSR from parallel edge arrays."""
+        """Build CSR from parallel edge arrays; each node's edges keep
+        their input order."""
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         if src.shape != dst.shape:
             raise ConfigurationError("src/dst must have the same shape")
-        order = np.argsort(src, kind="stable")
-        src_sorted = src[order]
-        dst_sorted = dst[order]
-        counts = np.bincount(src_sorted, minlength=num_nodes)
+        if len(src) and (src.min() < 0 or src.max() >= num_nodes):
+            raise ConfigurationError("edge endpoint outside node range")
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, dst_sorted)
+        np.cumsum(np.bincount(src, minlength=num_nodes), out=indptr[1:])
+        return cls(indptr, dst[np.argsort(src, kind="stable")])
 
 
 def random_power_law_graph(
@@ -86,19 +95,30 @@ def random_power_law_graph(
     """
     if num_nodes < 2:
         raise ConfigurationError("need at least 2 nodes")
-    if avg_degree <= 0:
-        raise ConfigurationError("avg_degree must be positive")
+    if not 0 < avg_degree < math.inf:
+        raise ConfigurationError("avg_degree must be positive and finite")
+    if not exponent > 1:
+        raise ConfigurationError("exponent must be greater than 1")
     rng = np.random.default_rng(seed)
     # heavy-tailed raw degrees, capped to keep memory sane
     raw = rng.zipf(exponent, size=num_nodes).astype(np.float64)
-    cap = max(10.0, num_nodes / 50.0)
-    raw = np.minimum(raw, cap)
-    degrees = np.maximum(
-        1, np.round(raw * (avg_degree / raw.mean())).astype(np.int64)
-    )
-    total_edges = int(degrees.sum())
-    src = np.repeat(np.arange(num_nodes, dtype=np.int64), degrees)
-    # bias destinations toward low ids: square of a uniform skews low
-    dst = (rng.random(total_edges) ** 2 * num_nodes).astype(np.int64)
-    dst = np.minimum(dst, num_nodes - 1)
-    return CSRGraph.from_edges(num_nodes, src, dst)
+    np.minimum(raw, max(10.0, num_nodes / 50.0), out=raw)
+    raw *= avg_degree / raw.mean()
+    degrees = np.round(raw, out=raw).astype(np.int64)
+    indptr = np.zeros(num_nodes + 1, dtype=np.int64)
+    np.cumsum(np.maximum(degrees, 1, out=degrees), out=indptr[1:])
+    del raw, degrees  # only the CSR arrays outlive the build
+    # Edges are drawn grouped by source, so indptr alone places them.
+    # Destinations skew toward low ids (square of a uniform) and are
+    # written straight into the kept array, one chunk of draws at a time.
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    draws = np.empty(min(_DRAW_CHUNK, len(indices)))
+    for start in range(0, len(indices), _DRAW_CHUNK):
+        uniform = draws[: len(indices) - start]
+        rng.random(out=uniform)
+        np.square(uniform, out=uniform)
+        uniform *= num_nodes
+        dst = indices[start : start + len(uniform)]
+        np.copyto(dst, uniform, casting="unsafe")
+        np.minimum(dst, num_nodes - 1, out=dst)
+    return CSRGraph(indptr, indices)

@@ -64,6 +64,45 @@ def test_power_law_graph_validation():
         random_power_law_graph(100, 0.0)
 
 
+_PATH = CSRGraph.from_edges(3, np.array([0, 1]), np.array([1, 2]))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: _PATH.degree(-1), id="degree of -1"),
+        pytest.param(lambda: _PATH.degree(3), id="degree of num_nodes"),
+        pytest.param(
+            lambda: CSRGraph.from_edges(3, np.array([-1]), np.array([0])),
+            id="negative source",
+        ),
+        pytest.param(
+            lambda: CSRGraph.from_edges(3, np.array([3]), np.array([0])),
+            id="source past the last node",
+        ),
+        pytest.param(
+            lambda: random_power_law_graph(100, 5.0, exponent=1.0),
+            id="exponent of 1",
+        ),
+        pytest.param(
+            lambda: random_power_law_graph(100, 5.0, exponent=float("nan")),
+            id="NaN exponent",
+        ),
+        pytest.param(
+            lambda: random_power_law_graph(100, float("nan")),
+            id="NaN avg_degree",
+        ),
+        pytest.param(
+            lambda: random_power_law_graph(100, float("inf")),
+            id="infinite avg_degree",
+        ),
+    ],
+)
+def test_graph_layer_rejects_bad_input_with_a_typed_error(build):
+    with pytest.raises(ConfigurationError):
+        build()
+
+
 # --- datasets ---------------------------------------------------------------
 
 def test_dataset_specs_match_table_iv():

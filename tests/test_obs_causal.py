@@ -351,6 +351,15 @@ def test_csv_round_trip_handles_hostile_and_numpy_tags(tmp_path):
     assert restored.parent_id == 3
 
 
+def test_csv_round_trip_keeps_numpy_typed_times(tmp_path):
+    span = Span(1, "nvme_io", np.float64(0.000313))
+    span.end = np.float64(0.000627)
+    path = tmp_path / "numpy_times.csv"
+    export_trace_csv([span], path)
+    (restored,) = load_trace_csv(path)
+    assert (restored.begin, restored.end) == (0.000313, 0.000627)
+
+
 def test_csv_round_trip_preserves_causal_analysis(tmp_path):
     """The critical-path verdict must survive export/import."""
     _, tracer, _ = run_demo("base", num_sessions=10)
