@@ -13,8 +13,11 @@ at one commit write byte-identical files.
   reliability bundle, and with live telemetry.  Each ends at the pinned
   simulated instant.
 * ``autotune`` — the fig12 pipeline loop per compute/I-O mix under the
-  elastic controller vs static core counts: the controller stays in
-  the [N/4, N/2] band and reaches the best static throughput.
+  sampler-driven elastic controller vs static core counts: the
+  controller stays in the [N/4, N/2] band and reaches the best static
+  throughput.  The paper's own per-batch loop (an autotuning
+  ``CamContext``) ends each of its two mixes at the pinned final cores,
+  simulated instant and heap events.
 * ``serving`` — KV-cache serving on CAM, BaM and GDS at 10^2-10^4
   sessions: CAM's TTFT p99 beats BaM's at the top count, and a
   metrics-on run ends where the plain run does.
@@ -128,7 +131,14 @@ def batch():
 
 
 def autotune():
-    from repro.experiments.extras import ELASTIC_MIXES, _elastic_loop
+    from repro.experiments.extras import (
+        BATCH_LOOP_MIXES,
+        ELASTIC_MIXES,
+        LOOP_REQUESTS,
+        LOOP_SSDS,
+        _batch_loop,
+        _elastic_loop,
+    )
 
     tolerance = GOLDEN["autotune_tolerance"].value
     mixes, gates = {}, {}
@@ -146,8 +156,7 @@ def autotune():
         statics = {}
         for cores in AUTOTUNE_STATIC_CORES:
             static = _elastic_loop(
-                compute_time, AUTOTUNE_ITERATIONS,
-                controller=False, static_cores=cores,
+                compute_time, AUTOTUNE_ITERATIONS, static_cores=cores
             )
             statics[str(cores)] = {
                 "sim_s": static["wall"],
@@ -173,13 +182,20 @@ def autotune():
         gates[f"{mix}.reaches_best_static"] = (
             elastic["throughput_bytes_per_s"] >= best * (1 - tolerance)
         )
+    pins = GOLDEN["autotune_batch_loop"].value
+    batch_loop = {}
+    for mix, compute_time in BATCH_LOOP_MIXES:
+        out = _batch_loop(compute_time, "autotune", AUTOTUNE_ITERATIONS)
+        batch_loop[mix] = out
+        gates[f"batch_loop.{mix}.pinned"] = out == pins[mix]
     measurements = {
         "workload": {
-            "num_ssds": 12, "iterations": AUTOTUNE_ITERATIONS,
-            "requests_per_batch": 2048, "granularity": 4096,
+            "num_ssds": LOOP_SSDS, "iterations": AUTOTUNE_ITERATIONS,
+            "requests_per_batch": LOOP_REQUESTS, "granularity": 4096,
             "static_cores": list(AUTOTUNE_STATIC_CORES),
         },
         "mixes": mixes,
+        "batch_loop": batch_loop,
     }
     return measurements, gates
 

@@ -75,8 +75,7 @@ def main() -> None:
     print(f"requests fanned out over {platform.num_ssds} SSDs   : "
           f"{int(stats.requests_done.total)}")
     print(f"manager cores active                 : "
-          f"{stats.active_reactors} (bounds "
-          f"{context.autotuner.bounds if context.autotuner else 'n/a'})")
+          f"{stats.active_reactors} (bounds {context.controller.bounds})")
 
     context.free(read_buffer)
     context.close()

@@ -304,7 +304,9 @@ class CamBackend(StorageBackend):
     Exposes both the per-request path (for the load generator — requests
     go straight onto the manager's SPDK queue pairs, which is exactly
     what a one-request batch does) and the real batch API via
-    :attr:`context` for workloads written against Table II.
+    :attr:`context` for workloads written against Table II.  The context
+    does not autotune, so the manager's one core-sizing loop is free for
+    a sampler-driven :class:`~repro.core.elastic.ElasticController`.
     """
 
     model_name = "cam"
@@ -313,7 +315,6 @@ class CamBackend(StorageBackend):
         self,
         platform: Platform,
         num_cores: Optional[int] = None,
-        autotune: bool = False,
         max_batch_requests: int = 65536,
         reliability=None,
     ):
@@ -321,7 +322,7 @@ class CamBackend(StorageBackend):
         self.context = CamContext(
             platform,
             num_cores=num_cores,
-            autotune=autotune,
+            autotune=False,
             max_batch_requests=max_batch_requests,
             reliability=reliability,
         )

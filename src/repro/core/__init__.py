@@ -7,12 +7,11 @@ storage access:
   regions (Section III-B);
 * :mod:`repro.core.control` — the CPU-side management threads built on
   SPDK-style user-space queue pairs (Section III-A);
-* :mod:`repro.core.autotune` — dynamic adjustment of manager cores between
-  N/4 and N/2 per N SSDs (Challenge 1);
-* :mod:`repro.core.elastic` — the closed-loop flavour of Challenge 1: a
-  pure :class:`~repro.core.elastic.ElasticCorePolicy` shared with the
-  advisor, driven live by an :class:`~repro.core.elastic.ElasticController`
-  over sampler busy fractions;
+* :mod:`repro.core.elastic` — dynamic adjustment of manager cores between
+  N/4 and N/2 per N SSDs (Challenge 1): a pure
+  :class:`~repro.core.elastic.ElasticCorePolicy` applied by each
+  manager's one :class:`~repro.core.elastic.ElasticController`, fed the
+  paper's per-batch compute/I-O signal or sampler busy fractions;
 * :mod:`repro.core.api` — the user-facing API of Table II: ``CAM_init``,
   ``CAM_alloc``, ``CAM_free``, ``prefetch``, ``prefetch_synchronize``,
   ``write_back``, ``write_back_synchronize``;
@@ -24,14 +23,12 @@ storage access:
 
 from repro.core.api import CamContext, CamDeviceAPI
 from repro.core.async_api import CamAsyncAPI, CamTicket
-from repro.core.autotune import CoreAutotuner
 from repro.core.control import BatchRequest, CamManager
 from repro.core.datapath import DirectDataPath
 from repro.core.elastic import (
     CoreDecision,
     ElasticController,
     ElasticCorePolicy,
-    install_controller,
 )
 from repro.core.pipeline import DoubleBuffer, run_prefetch_pipeline
 from repro.core.regions import SyncRegions
@@ -43,13 +40,11 @@ __all__ = [
     "CamDeviceAPI",
     "CamManager",
     "CamTicket",
-    "CoreAutotuner",
     "CoreDecision",
     "DirectDataPath",
     "DoubleBuffer",
     "ElasticController",
     "ElasticCorePolicy",
     "SyncRegions",
-    "install_controller",
     "run_prefetch_pipeline",
 ]

@@ -25,12 +25,14 @@ from typing import Generator, List, Optional
 import numpy as np
 
 from repro.config import CAMConfig
-from repro.core.autotune import CoreAutotuner
 from repro.core.control import (
     BatchRequest,
     CamManager,
     check_granularity,
     check_lbas,
+)
+from repro.core.elastic import (
+    BATCH_HIGH_WATER, BATCH_LOW_WATER, ElasticController, ElasticCorePolicy,
 )
 from repro.core.regions import BatchArgs, SyncRegions
 from repro.errors import APIUsageError
@@ -40,7 +42,12 @@ from repro.obs.causal import mint_context
 
 
 class CamContext:
-    """CAM_init: SSD controllers, manager threads and sync regions."""
+    """CAM_init: SSD controllers, manager threads and sync regions.
+
+    ``autotune`` builds the manager's one core-sizing loop,
+    :attr:`controller`, fed the paper's per-batch signal at each
+    ``prefetch_synchronize`` (see :mod:`repro.core.elastic`).
+    """
 
     def __init__(
         self,
@@ -66,19 +73,22 @@ class CamContext:
             admission=admission,
             supervise_reactors=supervise_reactors,
         )
-        self.autotuner = (
-            CoreAutotuner(platform.num_ssds, config=self.config)
+        self.controller = (
+            ElasticController(
+                None,
+                manager=self.manager,
+                policy=ElasticCorePolicy(
+                    num_ssds=platform.num_ssds,
+                    min_cores_per_ssd=self.config.min_cores_per_ssd,
+                    max_cores_per_ssd=self.config.max_cores_per_ssd,
+                    low_water=BATCH_LOW_WATER,
+                    high_water=BATCH_HIGH_WATER,
+                    cooldown=0.0,
+                ),
+            )
             if autotune
             else None
         )
-        if self.autotuner is not None:
-            # clamp the tuner's range to the cores the manager actually has
-            self.autotuner.max_cores = min(
-                self.autotuner.max_cores, self.manager.driver.num_reactors
-            )
-            self.autotuner.cores = min(
-                self.autotuner.cores, self.autotuner.max_cores
-            )
         self.max_batch_requests = max_batch_requests
         self._buffers: List[GPUBuffer] = []
         self._closed = False
@@ -117,7 +127,8 @@ class CamContext:
             raise APIUsageError("context is closed")
 
     def check_batch(
-        self, lbas, buffer: Optional[GPUBuffer], granularity: int
+        self, lbas, buffer: Optional[GPUBuffer], granularity: int,
+        payloads: Optional[list] = None,
     ) -> np.ndarray:
         """The batch preconditions both device APIs check before the
         doorbell; returns ``lbas`` as an int64 array."""
@@ -129,6 +140,8 @@ class CamContext:
                 f"batch of {len(lbas)} exceeds max_batch_requests "
                 f"{self.max_batch_requests}"
             )
+        if payloads is not None and len(payloads) != len(lbas):
+            raise APIUsageError("payloads must match the LBA array length")
         if buffer is not None:
             if not buffer.pinned:
                 raise APIUsageError("buffer must be pinned CAM_alloc memory")
@@ -175,8 +188,6 @@ class CamDeviceAPI:
         self.env = context.env
         self._pending_prefetch: Optional[_PendingBatch] = None
         self._pending_writeback: Optional[_PendingBatch] = None
-        #: timestamp when the last synchronize returned (compute-time probe)
-        self._last_sync_return: Optional[float] = None
         #: caller-bound :class:`~repro.obs.causal.RequestContext`; when
         #: set (e.g. by the serving engine for one turn), batches join
         #: that request instead of minting their own context
@@ -235,7 +246,7 @@ class CamDeviceAPI:
         payloads,
     ) -> Generator:
         context = self.context
-        lbas = context.check_batch(lbas, buffer, granularity)
+        lbas = context.check_batch(lbas, buffer, granularity, payloads)
         slot = "_pending_writeback" if is_write else "_pending_prefetch"
         if getattr(self, slot) is not None:
             raise APIUsageError(
@@ -244,8 +255,6 @@ class CamDeviceAPI:
                    else "prefetch_synchronize")
                 + " first"
             )
-        if payloads is not None and len(payloads) != len(lbas):
-            raise APIUsageError("payloads must match the LBA array length")
 
         # the four-region handshake (functional)
         regions = SyncRegions(self.env, max(len(lbas), 1))
@@ -314,11 +323,8 @@ class CamDeviceAPI:
             setattr(self, slot, None)
             if pending.ctx_owned and pending.trace_ctx is not None:
                 pending.trace_ctx.finish()
-        self._last_sync_return = self.env.now
         context = self.context
-        if context.autotuner is not None and kind == "prefetch":
-            cores = context.autotuner.observe(
+        if context.controller is not None and kind == "prefetch":
+            context.controller.observe(
                 compute_time, context.manager.last_io_time
             )
-            if cores != context.manager.active_reactors:
-                context.manager.set_active_reactors(cores)

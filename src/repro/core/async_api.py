@@ -58,7 +58,7 @@ class CamAsyncAPI:
         Costs only the doorbell time on the GPU, like the sync API.
         """
         context = self.context
-        lbas = context.check_batch(lbas, buffer, granularity)
+        lbas = context.check_batch(lbas, buffer, granularity, payloads)
         yield self.env.timeout(context.config.doorbell_time)
         batch = BatchRequest(
             lbas=lbas,

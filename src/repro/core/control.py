@@ -6,8 +6,8 @@ walks each group onto its SSDs' SPDK queue pairs (charging the reactor's
 per-request CPU cost), waits for every completion, and flags the
 completion region.
 
-The number of *active* reactors is controlled by the
-:class:`~repro.core.autotune.CoreAutotuner`; inactive reactors' SSDs are
+The number of *active* reactors is set by the manager's one core-sizing
+loop (:mod:`repro.core.elastic`); inactive reactors' SSDs are
 re-assigned to active ones, which is how "one thread controls multiple
 NVMes" (Fig. 12) happens.
 """
@@ -21,6 +21,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
+from repro.checks import as_integer, as_integer_array
 from repro.config import CAMConfig
 from repro.errors import (
     APIUsageError,
@@ -72,46 +73,30 @@ class BatchRequest:
 
 def check_lbas(lbas) -> np.ndarray:
     """The rule for a batch's LBAs: a non-empty 1-D array of integer
-    values.
+    values (:func:`~repro.checks.as_integer_array`).
 
     Returns ``lbas`` as an array, not yet cast, and raises
     :class:`~repro.errors.APIUsageError` for anything else.  The batch
     entry points call it before they cast, since a cast to ``int64``
     would quietly turn LBA 1.5 into 1.
     """
-    try:
-        array = np.asarray(lbas)
-    except (TypeError, ValueError) as error:
-        raise APIUsageError(
-            f"LBAs must be a non-empty 1-D integer array: {error}"
-        ) from None
-    if array.ndim != 1 or not array.size or array.dtype.kind not in "iu":
-        raise APIUsageError(
-            f"LBAs must be a non-empty 1-D integer array, not shape "
-            f"{array.shape} of {array.dtype}"
-        )
+    array = as_integer_array(lbas)
+    if array is None or not array.size:
+        raise APIUsageError("LBAs must be a non-empty 1-D integer array")
     return array
 
 
 def check_granularity(granularity) -> None:
     """The rule for a batch's request size: a positive integer number of
-    bytes.
-
-    Python and NumPy integers pass (what :func:`operator.index` takes,
-    booleans aside); anything else raises
-    :class:`~repro.errors.APIUsageError`.  The batch entry points call
-    it with :func:`check_lbas`, since a zero, negative or fractional
-    size would be counted as bytes moved and claimed from admission.
-    """
-    if not isinstance(granularity, (bool, np.bool_)):
-        try:
-            if operator.index(granularity) > 0:
-                return
-        except TypeError:
-            pass
-    raise APIUsageError(
-        f"granularity must be a positive integer, not {granularity!r}"
-    )
+    bytes (:func:`~repro.checks.as_integer`), or
+    :class:`~repro.errors.APIUsageError`.  The batch entry points call it
+    with :func:`check_lbas`, since a zero, negative or fractional size
+    would be counted as bytes moved and claimed from admission."""
+    size = as_integer(granularity)
+    if size is None or size <= 0:
+        raise APIUsageError(
+            f"granularity must be a positive integer, not {granularity!r}"
+        )
 
 
 class CamManager:
@@ -147,14 +132,15 @@ class CamManager:
         self.supervisor = (
             self.driver.supervise() if supervise_reactors else None
         )
-        self._active_reactors = self.driver.num_reactors
+        #: the one core-sizing loop, an ``ElasticController``, if any
+        self.controller = None
         self._inbox: Store = Store(self.env)
         self._poller = self.env.process(self._poll_loop())
         self.batches_done = Counter(self.env)
         self.requests_done = Counter(self.env)
         self.bytes_done = Counter(self.env)
         self.batch_io_time = LatencyStat()
-        #: io time of the most recent batch (fed to the autotuner)
+        #: io time of the most recent batch (the per-batch core signal)
         self.last_io_time = 0.0
         #: window baseline for :meth:`reactor_busy_fractions` —
         #: (sim time, {reactor_id: busy_seconds}) at the last call
@@ -169,16 +155,12 @@ class CamManager:
     # -- core adjustment ----------------------------------------------------
     @property
     def active_reactors(self) -> int:
-        return self._active_reactors
+        return self.driver.pool.active_count
 
     def set_active_reactors(self, count: int) -> None:
-        """Apply the autotuner's decision: remap SSDs over ``count`` cores."""
-        if not 1 <= count <= self.driver.num_reactors:
-            raise ConfigurationError(
-                f"active reactor count {count} outside "
-                f"[1, {self.driver.num_reactors}]"
-            )
-        self._active_reactors = count
+        """Remap the SSDs over ``count`` cores (checked by
+        ``ReactorPool.remap``): a core-sizing decision or a static
+        allocation."""
         self.driver.remap(count)
 
     # -- the doorbell -> completion path ----------------------------------

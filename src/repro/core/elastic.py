@@ -1,41 +1,39 @@
-"""Closed-loop elastic core control (the paper's Challenge 1, live).
+"""Elastic core control: the paper's dynamic core adjustment (Challenge 1).
 
 Paper Section III-A: N SSDs need between N/4 and N/2 manager cores
-depending on the workload's compute/I-O ratio.  PR 5 built the feedback
-signal (``Reactor.busy_seconds`` windowed into
-``reactor_busy_fraction`` by the :class:`~repro.obs.sampler
-.MetricsSampler`); this module closes the loop:
+depending on the workload's compute/I-O ratio, which CAM reads from
+"the relative time of computation and I/O in the last batch".
 
 * :class:`ElasticCorePolicy` — a *pure*, deterministic decision
-  function.  Given one pressure observation (busy fraction of the
-  active reactors, or the advisor's I/O-share of a batch) it returns a
-  target core count.  Band targets with hysteresis (grow above
-  ``high_water``, shrink below ``low_water``, hold in between), a
-  shrink-side cooldown so a grow is never immediately undone, hard
-  clamping to the paper's [N/4, N/2] band, and an SLO guardrail that
-  vetoes shrinking while an objective is violated.  Purity makes the
-  policy property-testable (``tests/test_elastic_policy.py``).
-* :class:`ElasticController` — the sim-process actor.  Every
-  ``interval`` simulated seconds it reads the
-  :class:`~repro.obs.sampler.MetricsSampler` history, folds the active
-  reactors' busy fractions into one pressure number, asks the policy,
-  and applies non-hold decisions live through
-  :meth:`~repro.core.control.CamManager.set_active_reactors` (or
-  :meth:`~repro.spdk.driver.SpdkDriver.remap` when driving a bare
-  driver) — the same SSD re-homing path failover uses, so resizes
-  never drop in-flight charges: de-activated reactors drain what they
-  hold, new work lands on the shrunk window.
-
-The advisor (:class:`~repro.core.autotune.CoreAutotuner`) shares this
-policy core — the open-loop compute/IO-ratio rule and the closed-loop
-busy-fraction rule are the same decision function fed different
-pressure signals.
+  function.  Given one pressure observation it returns a target core
+  count.  Band targets with hysteresis (grow above ``high_water``,
+  shrink below ``low_water``, hold in between), a shrink-side cooldown
+  so a grow is never immediately undone, hard clamping to the paper's
+  [N/4, N/2] band, and an SLO guardrail that vetoes shrinking while an
+  objective is violated.  Purity makes the policy property-testable
+  (``tests/test_elastic_policy.py``).
+* :class:`ElasticController` — a manager's one core-sizing loop (a
+  second on the same manager raises
+  :class:`~repro.errors.ConfigurationError` until the first is stopped,
+  so two loops cannot undo each other's resizes).
+  :meth:`~ElasticController.observe` takes the paper's per-batch
+  signal, a batch's I/O share, which ``CamContext(autotune=True)``
+  feeds at each ``prefetch_synchronize`` to a controller with no
+  sampler, no cooldown and the band [:data:`BATCH_LOW_WATER`,
+  :data:`BATCH_HIGH_WATER`]; :meth:`~ElasticController.tick` takes the
+  active reactors' busy fractions from a
+  :class:`~repro.obs.sampler.MetricsSampler` every ``interval``.
+  Either way non-hold decisions apply live through
+  :meth:`~repro.core.control.CamManager.set_active_reactors` — the same
+  SSD re-homing path failover uses, so resizes never drop in-flight
+  charges: de-activated reactors drain what they hold, new work lands
+  on the shrunk window.
 
 Interplay with failover: both the controller and the
 :class:`~repro.spdk.reactor.ReactorSupervisor` funnel through
 ``ReactorPool.remap``, which skips crashed reactors and drafts
 survivors when a whole window is dead.  The controller additionally
-(a) measures pressure only over *alive* reactors inside the active
+(a) measures busy pressure only over *alive* reactors in the active
 window, and (b) swallows :class:`~repro.errors.ReactorOfflineError`
 from a resize attempt (an all-dead pool is the supervisor's problem,
 not the sizing loop's).  ``tests/test_chaos.py`` drives resizes
@@ -52,10 +50,12 @@ from typing import Deque, Generator, List, Optional
 
 from repro.errors import ConfigurationError, ReactorOfflineError
 
-#: what a decision did to the core count
-ACTIONS = ("grow", "shrink", "hold", "clamp")
-
 _BUSY_KEY_RE = re.compile(r"^reactor_busy_fraction\{reactor=(\d+)\}$")
+
+#: the per-batch signal's band on a batch's I/O share: shrink while I/O
+#: takes under 0.85x the compute time, grow once it outlasts compute
+BATCH_LOW_WATER = 0.85 / 1.85
+BATCH_HIGH_WATER = 1.0 / 2.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ class CoreDecision:
     """One policy output: the target core count and why."""
 
     cores: int
-    action: str  # one of ACTIONS
+    action: str  # "grow", "shrink", "hold" or "clamp"
     reason: str = ""
     pressure: Optional[float] = None
 
@@ -208,24 +208,24 @@ class ElasticCorePolicy:
 
 
 class ElasticController:
-    """Closed-loop actor applying :class:`ElasticCorePolicy` decisions.
+    """A CAM manager's one core-sizing loop: applies
+    :class:`ElasticCorePolicy` decisions.
 
     Parameters
     ----------
     sampler:
-        The live :class:`~repro.obs.sampler.MetricsSampler`; the
-        controller reads its ``history`` ring (it never samples
-        itself, so sampling cadence and control cadence stay
-        independent).
+        The live :class:`~repro.obs.sampler.MetricsSampler` whose
+        ``history`` ring :meth:`tick` reads (it never samples itself,
+        so sampling cadence and control cadence stay independent), or
+        ``None`` for a controller fed only through :meth:`observe`.
     manager:
-        A :class:`~repro.core.control.CamManager` — resizes go through
+        The :class:`~repro.core.control.CamManager` whose cores it
+        sizes, through
         :meth:`~repro.core.control.CamManager.set_active_reactors`.
-        Alternatively pass ``driver`` for a bare
-        :class:`~repro.spdk.driver.SpdkDriver`.
     policy:
         Defaults to ``ElasticCorePolicy(num_ssds=platform.num_ssds)``.
     interval:
-        Simulated seconds between control ticks; defaults to
+        Simulated seconds between sampler ticks; defaults to
         ``window_samples`` sampler intervals so each tick sees a fresh
         window.
     window_samples:
@@ -238,10 +238,11 @@ class ElasticController:
         monitor's own cooldown, so a sustained breach silenced by the
         monitor's cooldown still vetoes.
     autostart:
-        Start the control loop immediately; pass ``False`` to drive
-        ticks manually via :meth:`tick` (the deterministic-test mode).
+        Start the tick loop (with a sampler) immediately; pass ``False``
+        to drive ticks manually via :meth:`tick` (the deterministic-test
+        mode).
 
-    The loop keeps a run-to-exhaustion simulation alive — call
+    The tick loop keeps a run-to-exhaustion simulation alive — call
     :meth:`stop` when the workload is done, or run with ``until=``.
     """
 
@@ -249,7 +250,6 @@ class ElasticController:
         self,
         sampler,
         manager=None,
-        driver=None,
         policy: Optional[ElasticCorePolicy] = None,
         interval: Optional[float] = None,
         window_samples: int = 4,
@@ -258,9 +258,12 @@ class ElasticController:
         max_decisions: int = 4096,
         autostart: bool = True,
     ):
-        if manager is None and driver is None:
+        if manager is None:
+            raise ConfigurationError("ElasticController needs a manager")
+        if manager.controller is not None:
             raise ConfigurationError(
-                "ElasticController needs a manager or a driver"
+                "the manager already has a core-sizing loop; a second "
+                "would undo its resizes"
             )
         if window_samples < 1:
             raise ConfigurationError("window_samples must be >= 1")
@@ -268,24 +271,19 @@ class ElasticController:
             raise ConfigurationError("max_decisions must be >= 1")
         self.sampler = sampler
         self.manager = manager
-        self.driver = driver or manager.driver
-        self.env = self.driver.env
+        self.env = manager.env
         self.policy = policy or ElasticCorePolicy(
-            num_ssds=self.driver.platform.num_ssds
+            num_ssds=manager.platform.num_ssds
         )
         self.window_samples = window_samples
-        self.interval = (
-            interval
-            if interval is not None
-            else sampler.interval * window_samples
-        )
-        if self.interval <= 0:
-            raise ConfigurationError(
-                f"interval must be > 0, got {self.interval}"
-            )
+        if interval is None and sampler is not None:
+            interval = sampler.interval * window_samples
+        if interval is not None and interval <= 0:
+            raise ConfigurationError(f"interval must be > 0, got {interval}")
+        self.interval = interval
         self.slo_monitor = slo_monitor
         if slo_hold is None:
-            slo_hold = self.interval + (
+            slo_hold = (interval or 0.0) + (
                 slo_monitor.cooldown if slo_monitor is not None else 0.0
             )
         self.slo_hold = slo_hold
@@ -298,39 +296,38 @@ class ElasticController:
         self.vetoes = 0
         self._last_change: Optional[float] = None
         self._stopped = False
-        self._proc = (
-            self.env.process(self._run()) if autostart else None
-        )
+        if autostart and sampler is not None:
+            self.env.process(self._run())
+        manager.controller = self
 
     # -- lifecycle ------------------------------------------------------
     def stop(self) -> None:
-        """Stop after the in-flight control interval expires."""
+        """Stop and release the manager: the tick loop ends when the
+        in-flight interval expires, later steps hold, and another
+        controller may then be built on the manager."""
         self._stopped = True
+        if self.manager.controller is self:
+            self.manager.controller = None
 
     def _run(self) -> Generator:
         while not self._stopped:
             yield self.env.timeout(self.interval)
-            if self._stopped:
-                return
-            self.tick()
+            self.tick()  # a hold once stopped
 
     # -- signal folding -------------------------------------------------
-    def _effective_bounds(self) -> tuple:
-        """The paper band clamped to the physical pool size."""
-        hi = min(self.policy.max_cores, self.driver.num_reactors)
-        lo = min(self.policy.min_cores, hi)
-        return lo, hi
-
-    def active_cores(self) -> int:
-        if self.manager is not None:
-            return self.manager.active_reactors
-        return self.driver.pool.active_count
+    @property
+    def bounds(self) -> tuple:
+        """``(min, max)`` cores: the paper band clamped to the pool."""
+        hi = min(self.policy.max_cores, self.manager.driver.num_reactors)
+        return min(self.policy.min_cores, hi), hi
 
     def pressure(self) -> Optional[float]:
         """Mean busy fraction of alive active-window reactors over the
-        last ``window_samples`` sampler entries (``None`` when the
-        sampler has produced nothing yet — a hold)."""
-        pool = self.driver.pool
+        last ``window_samples`` sampler entries (``None`` without a
+        sampler or before it has produced anything — a hold)."""
+        if self.sampler is None or not self.sampler.history:
+            return None
+        pool = self.manager.driver.pool
         alive = {
             reactor.reactor_id
             for reactor in pool.reactors[: pool.active_count]
@@ -338,10 +335,7 @@ class ElasticController:
         }
         if not alive:
             return None
-        history = self.sampler.history
-        if not history:
-            return None
-        window = list(history)[-self.window_samples:]
+        window = list(self.sampler.history)[-self.window_samples:]
         means: List[float] = []
         for _, snapshot in window:
             fractions = [
@@ -356,25 +350,34 @@ class ElasticController:
             return None
         return sum(means) / len(means)
 
-    def slo_violated(self) -> bool:
-        monitor = self.slo_monitor
-        if monitor is None:
-            return False
-        return monitor.violated_within(self.slo_hold, now=self.env.now)
-
     # -- the control step ----------------------------------------------
     def tick(self) -> CoreDecision:
-        """One control step: observe, decide, apply.  Safe to call
-        manually (``autostart=False``) for deterministic tests."""
+        """One control step on the sampler signal; safe to call manually
+        (``autostart=False``) for deterministic tests."""
+        return self._step(self.pressure())
+
+    def observe(self, compute_time: float, io_time: float) -> CoreDecision:
+        """One control step on the paper's per-batch signal: the last
+        batch's I/O share ``io / (compute + io)`` (a zero total holds)."""
+        if compute_time < 0 or io_time < 0:
+            raise ConfigurationError("times must be non-negative")
+        total = compute_time + io_time
+        return self._step(io_time / total if total > 0 else None)
+
+    def _step(self, pressure: Optional[float]) -> CoreDecision:
+        if self._stopped:
+            return CoreDecision(self.manager.active_reactors, "hold", "stopped")
         self.ticks += 1
         now = self.env.now
-        lo, hi = self._effective_bounds()
+        monitor = self.slo_monitor
+        lo, hi = self.bounds
         decision = self.policy.decide(
-            pressure=self.pressure(),
-            cores=self.active_cores(),
+            pressure=pressure,
+            cores=self.manager.active_reactors,
             now=now,
             last_change=self._last_change,
-            slo_violated=self.slo_violated(),
+            slo_violated=monitor is not None
+            and monitor.violated_within(self.slo_hold, now=now),
             min_cores=lo,
             max_cores=hi,
         )
@@ -387,10 +390,7 @@ class ElasticController:
 
     def _apply(self, decision: CoreDecision) -> None:
         try:
-            if self.manager is not None:
-                self.manager.set_active_reactors(decision.cores)
-            else:
-                self.driver.remap(decision.cores)
+            self.manager.set_active_reactors(decision.cores)
         except ReactorOfflineError:
             # every reactor is down: sizing is moot; failover (the
             # supervisor) owns recovery, the controller just holds
@@ -408,8 +408,3 @@ class ElasticController:
             f"resizes={self.resizes} (+{self.grows}/-{self.shrinks}) "
             f"vetoes={self.vetoes}>"
         )
-
-
-def install_controller(sampler, manager=None, **kwargs) -> ElasticController:
-    """Convenience: build a controller bound to ``sampler``."""
-    return ElasticController(sampler, manager=manager, **kwargs)

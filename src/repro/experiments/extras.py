@@ -228,8 +228,6 @@ def run_ablation_datapath(quick: bool = True) -> ExperimentResult:
 
 
 def run_ablation_autotune(quick: bool = True) -> ExperimentResult:
-    from repro.core import CamContext
-
     result = ExperimentResult(
         exp_id="ablation_autotune",
         title="Ablation: dynamic core adjustment vs static allocations",
@@ -246,35 +244,12 @@ def run_ablation_autotune(quick: bool = True) -> ExperimentResult:
         )
     )
     iterations = 8 if quick else 24
-
-    def run_loop(compute_time, policy):
-        platform = Platform(PlatformConfig(num_ssds=12), functional=False)
-        if policy == "autotune":
-            context = CamContext(platform, autotune=True)
-        else:
-            context = CamContext(platform, autotune=False)
-            context.manager.set_active_reactors(
-                6 if policy == "static N/2" else 3
-            )
-        buffer = context.alloc(16 << 20)
-        api = context.device_api()
-        env = platform.env
-        lbas = np.arange(2048, dtype=np.int64) * 8
-
-        def kernel():
-            for _ in range(iterations):
-                yield from api.prefetch(lbas, buffer, 4096)
-                if compute_time:
-                    yield env.timeout(compute_time)
-                yield from api.prefetch_synchronize()
-
-        env.run(env.process(kernel()))
-        return context.manager.active_reactors, env.now
-
-    for label, compute in (("compute-bound", 5e-3), ("io-bound", 0.0)):
+    for label, compute in BATCH_LOOP_MIXES:
         for policy in ("autotune", "static N/2", "static N/4"):
-            cores, elapsed = run_loop(compute, policy)
-            table.add_row(label, policy, cores, elapsed * 1e3)
+            out = _batch_loop(compute, policy, iterations)
+            table.add_row(
+                label, policy, out["final_cores"], out["sim_end"] * 1e3
+            )
     result.note(
         "the tuner's value: compute-bound loops release cores for the "
         "application (paper Challenge 1) at equal loop time"
@@ -282,44 +257,23 @@ def run_ablation_autotune(quick: bool = True) -> ExperimentResult:
     return result
 
 
-def _elastic_loop(
-    compute_time: float,
-    iterations: int,
-    *,
-    num_ssds: int = 12,
-    requests: int = 2048,
-    controller: bool = True,
-    static_cores=None,
-    cooldown: float = 500e-6,
-):
-    """One pipeline loop (prefetch -> compute -> synchronize) under the
-    closed-loop elastic controller — or a static allocation when
-    ``static_cores`` is given — returning the observed core series and
-    the run's cost accounting.  The sampler rides along either way (it
-    is a pure observer), so the core-seconds integral is comparable
-    across policies."""
-    from repro.core import CamContext, ElasticController, ElasticCorePolicy
-    from repro.obs import install_metrics, install_sampler
+#: the compute/I-O mixes of the per-batch core signal's loop
+BATCH_LOOP_MIXES = (("compute-bound", 5e-3), ("io-bound", 0.0))
+#: the core-sizing loops' platform and batch: 12 SSDs, 2048 x 4 KiB reads
+LOOP_SSDS = 12
+LOOP_REQUESTS = 2048
+#: the sampler-driven controller's shrink cooldown in the elastic sweep
+ELASTIC_COOLDOWN = 500e-6
 
-    platform = Platform(PlatformConfig(num_ssds=num_ssds), functional=False)
-    context = CamContext(platform, autotune=False)
-    env = platform.env
-    metrics = install_metrics(env)
-    sampler = install_sampler(
-        metrics, manager=context.manager, interval=50e-6
-    )
-    ctrl = None
-    if static_cores is not None:
-        context.manager.set_active_reactors(static_cores)
-    elif controller:
-        ctrl = ElasticController(
-            sampler,
-            manager=context.manager,
-            policy=ElasticCorePolicy(num_ssds=num_ssds, cooldown=cooldown),
-        )
-    buffer = context.alloc(requests * 4096)
+
+def _pipeline(context, compute_time: float, iterations: int) -> float:
+    """The fig12 pipeline loop on ``context``: ``iterations`` x (prefetch
+    ``LOOP_REQUESTS`` x 4 KiB -> compute -> synchronize).  Returns the
+    simulated seconds it took."""
+    buffer = context.alloc(LOOP_REQUESTS * 4096)
     api = context.device_api()
-    lbas = np.arange(requests, dtype=np.int64) * 8
+    env = context.env
+    lbas = np.arange(LOOP_REQUESTS, dtype=np.int64) * 8
 
     def kernel():
         for _ in range(iterations):
@@ -330,7 +284,55 @@ def _elastic_loop(
 
     start = env.now
     env.run(env.process(kernel()))
-    elapsed = env.now - start
+    return env.now - start
+
+
+def _batch_loop(compute_time: float, policy: str, iterations: int) -> dict:
+    """The pipeline loop under the paper's per-batch core signal
+    (``policy`` ``"autotune"``) or a static ``"static N/2"`` or
+    ``"static N/4"``: its final cores, simulated end and heap events."""
+    from repro.core import CamContext
+
+    platform = Platform(PlatformConfig(num_ssds=LOOP_SSDS), functional=False)
+    context = CamContext(platform, autotune=policy == "autotune")
+    if policy != "autotune":
+        context.manager.set_active_reactors(
+            6 if policy == "static N/2" else 3
+        )
+    sim_end = _pipeline(context, compute_time, iterations)
+    return {
+        "final_cores": context.manager.active_reactors,
+        "sim_end": sim_end,
+        "events": platform.env.events_processed,
+    }
+
+
+def _elastic_loop(compute_time: float, iterations: int, *, static_cores=None):
+    """One pipeline loop (prefetch -> compute -> synchronize) under the
+    closed-loop elastic controller — or a static allocation when
+    ``static_cores`` is given — returning the observed core series and
+    the run's cost accounting.  The sampler rides along either way (it
+    is a pure observer), so the core-seconds integral is comparable
+    across policies."""
+    from repro.core import CamContext, ElasticController, ElasticCorePolicy
+    from repro.obs import install_metrics, install_sampler
+
+    platform = Platform(PlatformConfig(num_ssds=LOOP_SSDS), functional=False)
+    context = CamContext(platform, autotune=False)
+    env = platform.env
+    metrics = install_metrics(env)
+    sampler = install_sampler(
+        metrics, manager=context.manager, interval=50e-6
+    )
+    policy = ElasticCorePolicy(num_ssds=LOOP_SSDS, cooldown=ELASTIC_COOLDOWN)
+    ctrl = None
+    if static_cores is not None:
+        context.manager.set_active_reactors(static_cores)
+    else:
+        ctrl = ElasticController(
+            sampler, manager=context.manager, policy=policy
+        )
+    elapsed = _pipeline(context, compute_time, iterations)
     if ctrl is not None:
         ctrl.stop()
     sampler.stop()
@@ -345,7 +347,7 @@ def _elastic_loop(
         core_seconds += float(v0) * (t1 - t0)
     return {
         "wall": elapsed,
-        "bytes": iterations * requests * 4096,
+        "bytes": iterations * LOOP_REQUESTS * 4096,
         "final_cores": context.manager.active_reactors,
         "min_cores_seen": min(cores_seen),
         "max_cores_seen": max(cores_seen),
@@ -353,10 +355,7 @@ def _elastic_loop(
         "resizes": ctrl.resizes if ctrl else 0,
         "grows": ctrl.grows if ctrl else 0,
         "shrinks": ctrl.shrinks if ctrl else 0,
-        "bounds": (
-            ctrl.policy.bounds if ctrl
-            else (max(1, -(-num_ssds // 4)), max(1, -(-num_ssds // 2)))
-        ),
+        "bounds": policy.bounds,
     }
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Callable, Generator, List, Optional
 
+from repro.checks import as_integer
 from repro.config import SPDKConfig
 from repro.errors import ConfigurationError, ReactorOfflineError
 from repro.hw.cpu import CycleAccountant
@@ -257,19 +258,21 @@ class ReactorPool:
         :class:`ReactorOfflineError`.
 
         ``remap()`` with no argument re-balances over the current window —
-        the failover entry point after a crash or revive.
-        """
-        if active_count is None:
-            active_count = self._active
-        if not 1 <= active_count <= len(self.reactors):
+        the failover entry point after a crash or revive.  Another count
+        that is not an integer (booleans aside) in ``[1, num_reactors]``
+        raises :class:`ConfigurationError` before any state changes."""
+        count = as_integer(
+            self._active if active_count is None else active_count
+        )
+        if count is None or not 1 <= count <= len(self.reactors):
             raise ConfigurationError(
-                f"active reactor count {active_count} outside "
-                f"[1, {len(self.reactors)}]"
+                f"active reactor count must be an integer in "
+                f"[1, {len(self.reactors)}], not {active_count!r}"
             )
-        self._active = active_count
+        self._active = count
         candidates = [
             reactor.reactor_id
-            for reactor in self.reactors[:active_count]
+            for reactor in self.reactors[:count]
             if not reactor.crashed
         ]
         if not candidates:

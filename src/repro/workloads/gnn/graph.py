@@ -15,12 +15,23 @@ from typing import Optional
 
 import numpy as np
 
+from repro.checks import as_integer, as_integer_array
 from repro.errors import ConfigurationError
 
 #: destinations drawn per ``Generator.random`` call; chunked calls read
 #: the PCG64 stream exactly as one call does, so this sets only the size
 #: of the float scratch buffer, never the graph
 _DRAW_CHUNK = 1 << 16
+
+
+def _integer(value, name: str, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``, or ConfigurationError."""
+    number = as_integer(value)
+    if number is None or number < minimum:
+        raise ConfigurationError(
+            f"{name} must be an integer >= {minimum}, not {value!r}"
+        )
+    return number
 
 
 class CSRGraph:
@@ -70,10 +81,14 @@ class CSRGraph:
     ) -> "CSRGraph":
         """Build CSR from parallel edge arrays; each node's edges keep
         their input order."""
-        src = np.asarray(src, dtype=np.int64)
-        dst = np.asarray(dst, dtype=np.int64)
-        if src.shape != dst.shape:
-            raise ConfigurationError("src/dst must have the same shape")
+        num_nodes = _integer(num_nodes, "num_nodes", 1)
+        src, dst = as_integer_array(src), as_integer_array(dst)
+        if src is None or dst is None or src.shape != dst.shape:
+            raise ConfigurationError(
+                "src/dst must be 1-D integer arrays of the same length"
+            )
+        src = src.astype(np.int64, copy=False)
+        dst = dst.astype(np.int64, copy=False)
         if len(src) and (src.min() < 0 or src.max() >= num_nodes):
             raise ConfigurationError("edge endpoint outside node range")
         indptr = np.zeros(num_nodes + 1, dtype=np.int64)
@@ -93,8 +108,8 @@ def random_power_law_graph(
     the requested average; destinations are preferential-attachment-ish
     (biased toward low node ids) so hubs emerge, as in citation graphs.
     """
-    if num_nodes < 2:
-        raise ConfigurationError("need at least 2 nodes")
+    num_nodes = _integer(num_nodes, "num_nodes", 2)
+    seed = _integer(seed, "seed", 0)
     if not 0 < avg_degree < math.inf:
         raise ConfigurationError("avg_degree must be positive and finite")
     if not exponent > 1:

@@ -1,24 +1,15 @@
-"""Dynamic adjustment of CAM's manager-core count (Challenge 1).
+"""The per-batch core tuner of the CAM device API, as the reference.
 
-Paper Section III-A: "CAM records both computation and I/O times.  CAM
-adjusts the number of cores for CPU-based SSD control according to the
-relative time of computation and I/O in the last batch" — using between
-N/4 and N/2 cores for N SSDs.
-
-The decision logic lives in
-:class:`~repro.core.elastic.ElasticCorePolicy`; this module is the
-*advisor* front-end that folds per-batch (compute, I/O) time pairs into
-the policy's scalar pressure signal — the I/O share of the batch,
-``io / (compute + io)``.  The closed-loop controller
-(:class:`~repro.core.elastic.ElasticController`) feeds the same policy
-reactor busy fractions instead; advisor and controller are the same
-decision function under two different sensors.
-
-The historical threshold knobs are preserved exactly: the old rule
-"shrink when ``io < compute * shrink_threshold``" is the pressure band
-``io/(compute+io) < shrink_threshold/(1+shrink_threshold)`` (and
-likewise for grow), so observation sequences decide identically to the
-pre-refactor advisor.
+:class:`CoreAutotuner` is the open-loop advisor that ``CamContext``
+once ran beside any elastic controller, verbatim: its own core count,
+its own :class:`~repro.core.elastic.ElasticCorePolicy` (no cooldown)
+and an observation history.  :func:`tuned_context` builds it for a
+context as ``CamContext(autotune=True)`` did, clamped to the manager's
+reactor pool, and :class:`TunedDeviceAPI` feeds it at each
+``prefetch_synchronize`` and applies a changed count the same way.
+``CamContext(autotune=True)`` now feeds that signal to its manager's one
+:class:`~repro.core.elastic.ElasticController`;
+``tests/test_autotune_differential.py`` holds it to this tuner.
 """
 
 from __future__ import annotations
@@ -26,9 +17,10 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Optional, Tuple
+from typing import Deque, Generator, Optional, Tuple
 
 from repro.config import CAMConfig
+from repro.core.api import CamContext, CamDeviceAPI
 from repro.core.elastic import CoreDecision, ElasticCorePolicy
 from repro.errors import ConfigurationError
 
@@ -106,3 +98,39 @@ class CoreAutotuner:
     @property
     def bounds(self) -> Tuple[int, int]:
         return (self.min_cores, self.max_cores)
+
+
+def tuned_context(platform, num_cores: Optional[int] = None):
+    """A context with no core-sizing loop of its own, and the tuner
+    ``CamContext(autotune=True)`` built for it."""
+    context = CamContext(platform, num_cores=num_cores, autotune=False)
+    tuner = CoreAutotuner(platform.num_ssds, config=context.config)
+    # clamp the tuner's range to the cores the manager actually has
+    tuner.max_cores = min(
+        tuner.max_cores, context.manager.driver.num_reactors
+    )
+    tuner.cores = min(tuner.cores, tuner.max_cores)
+    return context, tuner
+
+
+class TunedDeviceAPI(CamDeviceAPI):
+    """A device API that feeds :class:`CoreAutotuner` at each
+    ``prefetch_synchronize``, as the device API did."""
+
+    def __init__(self, context: CamContext, tuner: CoreAutotuner):
+        super().__init__(context)
+        self.tuner = tuner
+
+    def _synchronize(self, kind: str) -> Generator:
+        pending = self._pending_prefetch if kind == "prefetch" else None
+        if pending is not None:
+            # compute time since the batch was rung = what the GPU
+            # overlapped
+            compute_time = self.env.now - pending.rung_at
+        yield from super()._synchronize(kind)
+        if pending is None:
+            return
+        manager = self.context.manager
+        cores = self.tuner.observe(compute_time, manager.last_io_time)
+        if cores != manager.active_reactors:
+            manager.set_active_reactors(cores)

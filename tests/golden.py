@@ -55,6 +55,22 @@ GOLDEN = {
         "the write-back tier must keep this share of local-only goodput "
         "on the cache-friendly zipf workload",
     ),
+    "autotune_batch_loop": Golden(
+        {
+            "compute-bound": {
+                "final_cores": 3, "sim_end": 0.0400096, "events": 94535,
+            },
+            "io-bound": {
+                "final_cores": 6, "sim_end": 0.003781990739927514,
+                "events": 98506,
+            },
+        },
+        "49130e2",
+        "the paper's per-batch core signal on the 12-SSD pipeline loop "
+        "(8 x 2048 x 4 KiB, 5 ms or no compute): it sheds to N/4 under "
+        "compute and holds N/2 under I/O, at the static allocations' "
+        "simulated end",
+    ),
     "autotune_tolerance": Golden(
         1e-6, "2139913",
         "float slack on elastic >= best static throughput, so identical "

@@ -389,6 +389,40 @@ def test_device_apis_reject_an_oversized_batch_before_admission(
     assert context.manager.batches_done.total == 0
 
 
+@pytest.mark.parametrize("entry", ["device api", "async api"])
+@pytest.mark.parametrize("payload_count", [0, 3, 9])
+def test_device_apis_reject_mismatched_payloads_before_the_doorbell(
+    payload_count, entry
+):
+    """Both device APIs state the payload rule before the doorbell: the
+    async API used to spend the doorbell time first and only then have
+    ``ring`` refuse the batch."""
+    platform = Platform(PlatformConfig(num_ssds=2), functional=False)
+    env = platform.env
+    admission = AdmissionController(env)
+    context = CamContext(platform, admission=admission)
+    buffer = context.alloc(4 * 4096)
+    lbas = np.arange(4, dtype=np.int64) * 8
+    payloads = [b"\0" * 4096] * payload_count
+
+    def kernel():
+        with pytest.raises(APIUsageError, match="payloads must match"):
+            if entry == "device api":
+                yield from context.device_api().write_back(
+                    lbas, buffer, 4096, payloads=payloads
+                )
+            else:
+                yield from CamAsyncAPI(context).submit(
+                    lbas, buffer, 4096, is_write=True, payloads=payloads
+                )
+        # no doorbell time spent, nothing admitted
+        assert env.now == 0.0
+        assert admission.admitted_requests.total == 0
+
+    env.run(env.process(kernel()))
+    assert context.manager.batches_done.total == 0
+
+
 @pytest.mark.parametrize("sliced", [False, True])
 @pytest.mark.parametrize("payload_count", [0, 3, 9])
 def test_manager_ring_rejects_mismatched_payloads_before_admission(

@@ -291,6 +291,37 @@ def test_manager_set_active_reactors_rebinds_handles():
         manager.set_active_reactors(3)
 
 
+@pytest.mark.parametrize(
+    "count", [2.5, True, "2", 0, 7],
+    ids=["fractional", "boolean", "string", "zero", "past the pool"],
+)
+def test_set_active_reactors_rejects_a_bad_count_before_any_state_changes(
+    count,
+):
+    """A bad count is refused with a typed error before the manager, the
+    pool or a queue-pair handle moves, so failover keeps working."""
+    platform = Platform(PlatformConfig(num_ssds=12), functional=False)
+    manager = CamManager(platform)  # 6 reactors
+    driver = manager.driver
+
+    def owners():
+        return [
+            driver.handle(i).reactor.reactor_id
+            for i in range(platform.num_ssds)
+        ]
+
+    manager.set_active_reactors(4)
+    before = owners()
+    with pytest.raises(ConfigurationError):
+        manager.set_active_reactors(count)
+    assert manager.active_reactors == driver.pool.active_count == 4
+    assert owners() == before
+    driver.fail_reactor(0)  # a later failover still re-homes
+    assert 0 not in owners()
+    manager.set_active_reactors(np.int64(2))
+    assert manager.active_reactors == 2
+
+
 def test_remapped_manager_still_matches_fanout():
     """Coalescing stays differential-identical after a remap."""
 

@@ -31,6 +31,13 @@ def test_csr_from_edges():
     assert graph.degree().tolist() == [2, 1, 0, 1]
 
 
+def test_csr_from_empty_edge_lists():
+    graph = CSRGraph.from_edges(3, [], [])
+    assert graph.num_nodes == 3
+    assert graph.num_edges == 0
+    assert graph.indices.dtype == np.int64
+
+
 def test_csr_validation():
     with pytest.raises(ConfigurationError):
         CSRGraph(np.array([0, 2, 1]), np.array([0, 1]))  # decreasing
@@ -95,6 +102,45 @@ _PATH = CSRGraph.from_edges(3, np.array([0, 1]), np.array([1, 2]))
         pytest.param(
             lambda: random_power_law_graph(100, float("inf")),
             id="infinite avg_degree",
+        ),
+        pytest.param(
+            lambda: CSRGraph.from_edges(-1, [], []),
+            id="negative node count",
+        ),
+        pytest.param(
+            lambda: CSRGraph.from_edges(
+                3, np.zeros((2, 2), dtype=np.int64),
+                np.zeros((2, 2), dtype=np.int64),
+            ),
+            id="2-D edge arrays",
+        ),
+        pytest.param(
+            lambda: CSRGraph.from_edges(4, [1.5], [2.7]),
+            id="fractional endpoints",
+        ),
+        pytest.param(
+            lambda: random_power_law_graph(100, 5.0, seed=-1),
+            id="negative seed",
+        ),
+        pytest.param(
+            lambda: random_power_law_graph(100, 5.0, seed=1.5),
+            id="fractional seed",
+        ),
+        pytest.param(
+            lambda: random_power_law_graph(100.5, 5.0),
+            id="fractional num_nodes",
+        ),
+        pytest.param(
+            lambda: random_power_law_graph(100, 5.0, seed=True),
+            id="boolean seed",
+        ),
+        pytest.param(
+            lambda: CSRGraph.from_edges(True, [0], [0]),
+            id="boolean node count",
+        ),
+        pytest.param(
+            lambda: CSRGraph.from_edges(4, [[1], [1, 2]], [[2], [2, 3]]),
+            id="ragged edge lists",
         ),
     ],
 )
