@@ -23,7 +23,10 @@ at one commit write byte-identical files.
   metrics-on run ends where the plain run does.
 * ``cache`` — the GPU cache tier on the graph and serving reuse
   workloads: cache + readahead keeps up with cache-off, and cache-off
-  serving ends at its pinned instants.
+  serving ends at its pinned instants.  The two residency consumers no
+  other gate reaches hold their pins: the host-cache study's trace
+  through a 128 KiB ``CachedBackend`` that evicts, and serving under the
+  sliding-window KV policy.
 * ``disagg`` — the remote flash tier: tiered keeps the goodput floor
   of local-only, and a fabric partition ends every request, heals and
   loses no acked write.
@@ -84,6 +87,14 @@ SERVING_SESSION_COUNTS = (100, 1000, 10000)
 #: GPU cache size for the serving points of the cache sweep (64 KiB
 #: KV-block lines)
 CACHE_GPU_BLOCKS = 2048
+
+#: the host-cache pin: the study's quick trace through 32 cache pages
+HOST_CACHE_REQUESTS = 1200
+HOST_CACHE_BYTES = 128 * 1024
+
+#: the sliding-window serving pin: its policy and session counts
+WINDOW_POLICY = {"window_blocks": 2, "prefix_blocks": 1}
+WINDOW_POLICY_SESSIONS = (250, 1000)
 
 #: seeds each cambench workload runs at in the cambench sweep
 CAMBENCH_SEEDS = (17, 18, 19)
@@ -257,12 +268,14 @@ def serving():
 
 
 def cache():
+    from repro.experiments.extras import _host_cache_run
     from repro.experiments.gpucache import (
         FEATURE_BYTES,
         GRAPH_KWARGS,
         graph_cache_once,
     )
     from repro.experiments.serving import serve_once
+    from repro.serving import SlidingWindowPolicy
 
     graph = {}
     for mode in ("off", "cache", "cache+ra"):
@@ -302,12 +315,41 @@ def cache():
             modes["cache+ra"]["tokens_per_s"] >= modes["off"]["tokens_per_s"]
         )
         gates[f"off_sim_end_pinned.{sessions}"] = modes["off"]["sim_end"] == pin
+    host_cache = {
+        inner: _host_cache_run(inner, HOST_CACHE_BYTES, HOST_CACHE_REQUESTS)
+        for inner in ("spdk", "cam")
+    }
+    gates["host_cache_pinned"] = (
+        host_cache == GOLDEN["host_cache_pinned"].value
+    )
+    window = {}
+    for sessions in WINDOW_POLICY_SESSIONS:
+        run, sim_end = serve_once(
+            "cam", sessions, policy=SlidingWindowPolicy(**WINDOW_POLICY)
+        )
+        window[sessions] = {
+            "sim_end": sim_end,
+            "kv_evictions": run.kv_evictions,
+            "kv_hit_rate": run.kv_hit_rate,
+        }
+        gates[f"window_policy_pinned.{sessions}"] = (
+            window[sessions] == GOLDEN["window_policy_pinned"].value[sessions]
+        )
     measurements = {
         "graph_workload": {
             **GRAPH_KWARGS, "feature_bytes": FEATURE_BYTES, "points": graph,
         },
         "serving_workload": {
             "gpu_cache_blocks": CACHE_GPU_BLOCKS, "points": points,
+        },
+        "host_cache_workload": {
+            "requests": HOST_CACHE_REQUESTS,
+            "cache_bytes": HOST_CACHE_BYTES,
+            "points": host_cache,
+        },
+        "window_policy_workload": {
+            **WINDOW_POLICY,
+            "points": {str(n): point for n, point in window.items()},
         },
     }
     return measurements, gates

@@ -17,11 +17,16 @@ never observe stale data.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Generator, Optional
 
 from repro.backends.base import StorageBackend
+from repro.cache.residency import (
+    Residency,
+    integer_at_least,
+    miss_window,
+    pages_of,
+)
 from repro.errors import ConfigurationError
 from repro.sim.stats import Counter
 
@@ -59,6 +64,7 @@ class CachedBackend(StorageBackend):
         page_bytes: int = 4096,
         to_gpu: bool = True,
     ):
+        page_bytes = integer_at_least("page_bytes", page_bytes)
         if capacity_bytes < page_bytes:
             raise ConfigurationError(
                 "cache must hold at least one page"
@@ -69,8 +75,8 @@ class CachedBackend(StorageBackend):
         self.capacity_pages = capacity_bytes // page_bytes
         self.page_bytes = page_bytes
         self.to_gpu = to_gpu
-        #: page id -> None (OrderedDict as LRU: end = most recent)
-        self._lru: "OrderedDict[int, None]" = OrderedDict()
+        #: resident page ids, least recently used first
+        self.residency = Residency(self.capacity_pages)
         self.hits = Counter(self.env)
         self.misses = Counter(self.env)
         self.evictions = Counter(self.env)
@@ -83,22 +89,10 @@ class CachedBackend(StorageBackend):
     def name(self) -> str:
         return f"{self.inner.name}+cache"
 
-    def _pages_of(self, lba: int, nbytes: int):
-        block = self.platform.config.ssd.block_size
-        start = lba * block
-        first = start // self.page_bytes
-        last = (start + max(1, nbytes) - 1) // self.page_bytes
-        return range(first, last + 1)
-
     def _touch(self, page: int) -> None:
-        self._lru[page] = None
-        self._lru.move_to_end(page)
-        while len(self._lru) > self.capacity_pages:
-            self._lru.popitem(last=False)
-            self.evictions.add()
-
-    def _cached(self, page: int) -> bool:
-        return page in self._lru
+        evicted = self.residency.admit(page)
+        if evicted:
+            self.evictions.add(len(evicted))
 
     def _publish(self) -> None:
         """Mirror the cache counters into the live metrics registry.
@@ -142,7 +136,8 @@ class CachedBackend(StorageBackend):
         target_offset: int = 0,
         ssd_index: Optional[int] = None,
     ) -> Generator:
-        pages = list(self._pages_of(lba, nbytes))
+        block = self.platform.config.ssd.block_size
+        pages = pages_of(lba, nbytes, block, self.page_bytes)
         if is_write:
             # write-through: device write, cached copies refreshed
             cqe = yield from self.inner.io(
@@ -151,12 +146,12 @@ class CachedBackend(StorageBackend):
                 ssd_index=ssd_index,
             )
             for page in pages:
-                if self._cached(page):
+                if page in self.residency:
                     self._touch(page)
             self._publish()
             return cqe
 
-        missing = [page for page in pages if not self._cached(page)]
+        missing = [page for page in pages if page not in self.residency]
         if not missing:
             self.hits.add(len(pages))
             self._publish()
@@ -173,23 +168,18 @@ class CachedBackend(StorageBackend):
             )
 
         # partial or full miss: hits and misses counted per page, and
-        # only the contiguous span covering the missing pages (clipped
-        # to the request) is charged to the inner backend
+        # only the miss window is charged to the inner backend
         self.hits.add(len(pages) - len(missing))
         self.misses.add(len(missing))
         self._publish()
-        block = self.platform.config.ssd.block_size
-        start_byte = lba * block
-        end_byte = start_byte + nbytes
-        span_start = max(start_byte, missing[0] * self.page_bytes)
-        span_lba = span_start // block
-        span_start = span_lba * block
-        span_end = min(end_byte, (missing[-1] + 1) * self.page_bytes)
+        span_start, span_end = miss_window(
+            lba, nbytes, missing, block, self.page_bytes
+        )
         span_nbytes = span_end - span_start
         cqe = yield from self.inner.io(
-            span_lba, span_nbytes, is_write=False, payload=payload,
-            target=target,
-            target_offset=target_offset + (span_start - start_byte),
+            span_start // block, span_nbytes, is_write=False,
+            payload=payload, target=target,
+            target_offset=target_offset + (span_start - lba * block),
             ssd_index=ssd_index,
         )
         # admission costs one DRAM crossing for the staged copy

@@ -18,9 +18,8 @@ The cache is planned/committed in two phases so the fetch itself stays
 on the caller's I/O path (and therefore under admission control,
 reliability and the elastic controller, unchanged):
 
-1. :meth:`access_batch` / :meth:`access_span` partition a demand access
-   into hits, misses and readahead candidates and mark the misses in
-   flight;
+1. :meth:`access_batch` partitions a demand access into hits, misses
+   and readahead candidates and marks the misses in flight;
 2. the caller fetches the missing + speculative LBAs however it likes
    (one CAM batch, per-request backend calls, ...);
 3. :meth:`commit_demand` / :meth:`commit_speculative` admit the landed
@@ -36,8 +35,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro.cache.policy import LruLines, make_line_policy
 from repro.cache.readahead import ReadaheadConfig, ReadaheadStream
+from repro.cache.residency import Residency, integer_at_least, pages_of
 from repro.errors import ConfigurationError
 from repro.hw.platform import Platform
 
@@ -47,14 +46,11 @@ class CachePlan:
 
     ``hit_lbas``/``missing_lbas``/``speculative_lbas`` are what the
     caller acts on; the line lists are the cache's own bookkeeping.
-    Span plans additionally carry the contiguous fetch window covering
-    the missing lines (clipped to the request).
     """
 
     __slots__ = (
         "consumer", "hit_lbas", "missing_lbas", "speculative_lbas",
         "hit_lines", "missing_lines", "speculative_lines",
-        "fetch_lba", "fetch_nbytes", "fetch_offset_bytes", "hit_bytes",
     )
 
     def __init__(self, consumer):
@@ -65,20 +61,6 @@ class CachePlan:
         self.hit_lines: List[int] = []
         self.missing_lines: List[int] = []
         self.speculative_lines: List[int] = []
-        # span-plan only (access_span): the contiguous miss window
-        self.fetch_lba = 0
-        self.fetch_nbytes = 0
-        self.fetch_offset_bytes = 0
-        self.hit_bytes = 0
-
-    @property
-    def all_hit(self) -> bool:
-        return not self.missing_lines
-
-    @property
-    def fetch_lbas(self) -> List[int]:
-        """Demand misses plus speculative lines, in issue order."""
-        return self.missing_lbas + self.speculative_lbas
 
     def __repr__(self) -> str:
         return (
@@ -89,18 +71,18 @@ class CachePlan:
 
 
 class GpuCache:
-    """Fixed-size cache lines in GPU DRAM with pluggable replacement
-    and a per-consumer readahead prefetcher."""
+    """Fixed-size cache lines in GPU DRAM, replaced least recently used
+    first, with a per-consumer readahead prefetcher."""
 
     def __init__(
         self,
         platform: Platform,
         capacity_bytes: int,
         line_bytes: int = 4096,
-        policy: Union[str, LruLines, None] = None,
         readahead: Union[bool, ReadaheadConfig, None] = True,
     ):
         block = platform.config.ssd.block_size
+        line_bytes = integer_at_least("line_bytes", line_bytes)
         if line_bytes < block or line_bytes % block:
             raise ConfigurationError(
                 f"line_bytes {line_bytes} must be a multiple of the SSD "
@@ -114,9 +96,8 @@ class GpuCache:
         self.capacity_lines = capacity_bytes // line_bytes
         self._block = block
         self._lbas_per_line = line_bytes // block
-        if isinstance(policy, str):
-            policy = make_line_policy(policy)
-        self.lines = policy if policy is not None else LruLines()
+        #: resident lines, least recently used first
+        self.residency = Residency(self.capacity_lines)
         if readahead is True:
             readahead = ReadaheadConfig()
         elif readahead is False:
@@ -149,19 +130,13 @@ class GpuCache:
         """The LBA a fetch of ``line`` starts at."""
         return line * self._lbas_per_line
 
-    def _span_lines(self, lba: int, nbytes: int) -> range:
-        start = lba * self._block
-        first = start // self.line_bytes
-        last = (start + max(1, nbytes) - 1) // self.line_bytes
-        return range(first, last + 1)
-
     # -- introspection --------------------------------------------------
     @property
     def resident_lines(self) -> int:
-        return len(self.lines)
+        return len(self.residency)
 
     def is_resident(self, lba: int) -> bool:
-        return self.line_of(lba) in self.lines
+        return self.line_of(lba) in self.residency
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -196,8 +171,8 @@ class GpuCache:
     # -- planning -------------------------------------------------------
     def _demand_line(self, line: int, plan: CachePlan) -> bool:
         """Route one demand line into the plan; True on a hit."""
-        if line in self.lines:
-            self.lines.touch(line)
+        if line in self.residency:
+            self.residency.touch(line)
             owner = self._speculative.pop(line, None)
             if owner is not None:
                 self.readahead_used += 1
@@ -224,7 +199,7 @@ class GpuCache:
         for line in predictions:
             if line < 0 or line in planned:
                 continue
-            if line in self.lines or line in self._inflight:
+            if line in self.residency or line in self._inflight:
                 continue
             self._inflight[line] = stream
             plan.speculative_lines.append(line)
@@ -243,11 +218,13 @@ class GpuCache:
 
         Every item must fit inside a single cache line — the natural
         shape when ``line_bytes`` equals the workload's I/O granularity
-        (KV blocks, feature vectors).  Returns the plan; fetch
-        ``plan.fetch_lbas`` and then :meth:`commit`.
+        (KV blocks, feature vectors).  Returns the plan; fetch its
+        missing and speculative LBAs and then :meth:`commit`.
         """
-        granularity = self.line_bytes if granularity is None else granularity
-        if granularity < 1 or granularity > self.line_bytes:
+        if granularity is None:
+            granularity = self.line_bytes
+        granularity = integer_at_least("batch granularity", granularity)
+        if granularity > self.line_bytes:
             raise ConfigurationError(
                 f"batch granularity {granularity} does not fit the "
                 f"{self.line_bytes}-byte cache line"
@@ -258,7 +235,7 @@ class GpuCache:
         )
         predictions: List[int] = []
         for lba in lbas:
-            span = self._span_lines(lba, granularity)
+            span = pages_of(lba, granularity, self._block, self.line_bytes)
             if len(span) != 1:
                 raise ConfigurationError(
                     f"batch item at lba {lba} crosses a cache-line "
@@ -286,57 +263,18 @@ class GpuCache:
         self._publish()
         return plan
 
-    def access_span(self, lba: int, nbytes: int, consumer=0) -> CachePlan:
-        """Plan one byte-span access (the per-request backend path).
-
-        Hits and misses are accounted per line; the plan's fetch window
-        is the contiguous span covering the missing lines, clipped to
-        the request, so resident lines at the edges are never refetched.
-        """
-        if nbytes < 1:
-            raise ConfigurationError(f"span of {nbytes} bytes")
-        plan = CachePlan(consumer)
-        detector = (
-            self.stream(consumer) if self.readahead_config else None
-        )
-        predictions: List[int] = []
-        for line in self._span_lines(lba, nbytes):
-            self._demand_line(line, plan)
-            if detector is not None:
-                predictions.extend(detector.observe(line))
-        if detector is not None and predictions:
-            self._speculate(plan, predictions, detector)
-        start_byte = lba * self._block
-        end_byte = start_byte + nbytes
-        if plan.missing_lines:
-            span_start = max(
-                start_byte, plan.missing_lines[0] * self.line_bytes
-            )
-            span_end = min(
-                end_byte, (plan.missing_lines[-1] + 1) * self.line_bytes
-            )
-            plan.fetch_lba = span_start // self._block
-            plan.fetch_nbytes = span_end - span_start
-            plan.fetch_offset_bytes = span_start - start_byte
-        plan.hit_bytes = nbytes - plan.fetch_nbytes
-        self._publish()
-        return plan
-
     # -- commitment -----------------------------------------------------
     def _admit(self, line: int, stream=None) -> None:
-        already = line in self.lines
-        self.lines.admit(line)
+        already = line in self.residency
+        evicted = self.residency.admit(line)
         if stream is not None and not already:
             self._speculative[line] = stream
         elif stream is None:
             self._speculative.pop(line, None)
-        while len(self.lines) > self.capacity_lines:
-            victim = self.lines.evict()
-            if victim is None:
-                break
+        for victim in evicted:
             if self._speculative.pop(victim, None) is not None:
                 self.readahead_wasted += 1
-            self.evictions += 1
+        self.evictions += len(evicted)
 
     def commit_demand(self, plan: CachePlan) -> None:
         """The plan's demand misses landed; admit them."""
@@ -394,7 +332,8 @@ class GpuCache:
         granularity = self.line_bytes if granularity is None else granularity
         for lba in lbas:
             start = lba * self._block
-            for line in self._span_lines(lba, granularity):
+            for line in pages_of(lba, granularity, self._block,
+                                 self.line_bytes):
                 line_start = line * self.line_bytes
                 covered = (
                     start <= line_start
@@ -403,8 +342,8 @@ class GpuCache:
                 if covered:
                     self._admit(line)
                     self.fills += 1
-                elif line in self.lines:
-                    self.lines.touch(line)
+                elif line in self.residency:
+                    self.residency.touch(line)
         self._publish()
 
     # -- telemetry ------------------------------------------------------
@@ -485,6 +424,6 @@ class GpuCache:
         )
         return (
             f"<GpuCache {self.resident_lines}/{self.capacity_lines} x "
-            f"{self.line_bytes}B lines, policy={self.lines.name}, "
-            f"readahead={readahead}, hit_rate={self.hit_rate():.2f}>"
+            f"{self.line_bytes}B lines, readahead={readahead}, "
+            f"hit_rate={self.hit_rate():.2f}>"
         )

@@ -562,9 +562,6 @@ def run_paper_scale_gnn(quick: bool = True) -> ExperimentResult:
 
 
 def run_host_cache(quick: bool = True) -> ExperimentResult:
-    from repro.backends import CachedBackend, make_backend
-    from repro.workloads.trace import TraceReplayer, make_zipfian_trace
-
     result = ExperimentResult(
         exp_id="host_cache",
         title="Ginex-style host caching on skewed traffic",
@@ -582,32 +579,43 @@ def run_host_cache(quick: bool = True) -> ExperimentResult:
             ["configuration", "GB/s", "hit_rate"],
         )
     )
-
-    def run_one(inner, cache_bytes):
-        platform = Platform(PlatformConfig(num_ssds=2), functional=False)
-        backend = make_backend(inner, platform, to_gpu=False) \
-            if inner != "cam" else make_backend("cam", platform)
-        if cache_bytes:
-            backend = CachedBackend(backend, cache_bytes, to_gpu=False)
-        trace = make_zipfian_trace(
-            requests, target_iops=10_000_000, skew=1.5,
-            spread_blocks=1 << 14, write_fraction=0.0, seed=7,
-        )
-        report = TraceReplayer(backend).replay(
-            trace, open_loop=False, concurrency=64
-        )
-        hit = backend.hit_rate() if cache_bytes else 0.0
-        return report.achieved_bytes_per_s, hit
-
     for label, inner, cache_bytes in (
         ("spdk", "spdk", 0),
         ("spdk + 2 MiB cache", "spdk", 2 << 20),
         ("cam", "cam", 0),
         ("cam + 2 MiB cache", "cam", 2 << 20),
     ):
-        rate, hit = run_one(inner, cache_bytes)
-        table.add_row(label, to_gb_per_s(rate), hit)
+        out = _host_cache_run(inner, cache_bytes, requests)
+        table.add_row(label, out["gb_per_s"], out["hit_rate"])
     return result
+
+
+def _host_cache_run(inner: str, cache_bytes: int, requests: int) -> dict:
+    """The host-cache study's zipf(1.5) read trace on 2 SSDs through
+    ``inner`` (``"spdk"`` or ``"cam"``), behind a ``cache_bytes``
+    :class:`~repro.backends.cache.CachedBackend` unless it is 0: its
+    GB/s, hit rate, evictions and simulated end."""
+    from repro.backends import CachedBackend, make_backend
+    from repro.workloads.trace import TraceReplayer, make_zipfian_trace
+
+    platform = Platform(PlatformConfig(num_ssds=2), functional=False)
+    backend = make_backend(inner, platform, to_gpu=False) \
+        if inner != "cam" else make_backend("cam", platform)
+    if cache_bytes:
+        backend = CachedBackend(backend, cache_bytes, to_gpu=False)
+    trace = make_zipfian_trace(
+        requests, target_iops=10_000_000, skew=1.5,
+        spread_blocks=1 << 14, write_fraction=0.0, seed=7,
+    )
+    report = TraceReplayer(backend).replay(
+        trace, open_loop=False, concurrency=64
+    )
+    return {
+        "gb_per_s": to_gb_per_s(report.achieved_bytes_per_s),
+        "hit_rate": backend.hit_rate() if cache_bytes else 0.0,
+        "evictions": int(backend.evictions.total) if cache_bytes else 0,
+        "sim_end": platform.env.now,
+    }
 
 
 def run_latency(quick: bool = True) -> ExperimentResult:

@@ -16,7 +16,7 @@ the remote backend) the tier downgrades to **local-only degraded mode**:
   :class:`~repro.errors.RemoteUnavailableError` (never a hang);
 * writes are accepted locally and queued in the dirty log;
 * dirty pages are pinned — the LRU never evicts a page the remote tier
-  has not acked, preferring cache overflow to data loss.
+  has not acked: a full cache beats data loss.
 
 Heal detection is lazy and rate-limited: at most once per
 ``probe_interval`` a degraded operation pings the fabric
@@ -37,6 +37,12 @@ from collections import OrderedDict
 from typing import Generator, Optional
 
 from repro.backends.base import StorageBackend
+from repro.cache.residency import (
+    Residency,
+    integer_at_least,
+    miss_window,
+    pages_of,
+)
 from repro.errors import (
     ConfigurationError,
     NetworkError,
@@ -61,8 +67,7 @@ class TieredBackend(StorageBackend):
         flush_burst: int = 8,
         probe_interval: float = 200e-6,
     ):
-        if page_blocks < 1:
-            raise ConfigurationError("page_blocks must be >= 1")
+        page_blocks = integer_at_least("page_blocks", page_blocks)
         super().__init__(local.platform, reliability=local.reliability)
         self.local = local
         self.remote = remote
@@ -86,15 +91,15 @@ class TieredBackend(StorageBackend):
         if probe_interval <= 0:
             raise ConfigurationError("probe_interval must be positive")
         self.probe_interval = probe_interval
-        #: page id -> None (OrderedDict as LRU: end = most recent)
-        self._resident: "OrderedDict[int, None]" = OrderedDict()
         #: page -> write generation for pages the remote tier has not
         #: acked yet (insertion = age order, which is the resync drain
-        #: order); pinned in the LRU.  The generation lets a flush
-        #: detect a write that re-dirtied the page while the flush's
-        #: remote ack was in flight — popping the flag then would lose
-        #: the newer write.
+        #: order).  The generation lets a flush detect a write that
+        #: re-dirtied the page while the flush's remote ack was in
+        #: flight — popping the flag then would lose the newer write.
         self._dirty: "OrderedDict[int, int]" = OrderedDict()
+        #: resident page ids, least recently used first; the dirty log
+        #: is pinned, so an unflushed page is never evicted
+        self.residency = Residency(self.capacity_pages, pinned=self._dirty)
         self._write_gen = 0
         self.degraded = False
         self._last_probe = -float("inf")
@@ -127,29 +132,19 @@ class TieredBackend(StorageBackend):
         return f"{self.local.name}+remote-tier"
 
     # -- page bookkeeping ------------------------------------------------
-    def _pages_of(self, lba: int, nbytes: int):
-        block = self.platform.config.ssd.block_size
-        start = lba * block
-        first = start // self.page_bytes
-        last = (start + max(1, nbytes) - 1) // self.page_bytes
-        return range(first, last + 1)
+    def _pages_of(self, lba: int, nbytes: int) -> range:
+        return pages_of(
+            lba, nbytes, self.platform.config.ssd.block_size,
+            self.page_bytes,
+        )
 
     def _page_lba(self, page: int) -> int:
         return page * self.page_blocks
 
     def _touch(self, page: int) -> None:
-        self._resident[page] = None
-        self._resident.move_to_end(page)
-        while len(self._resident) > self.capacity_pages:
-            victim = next(
-                (p for p in self._resident if p not in self._dirty), None
-            )
-            if victim is None:
-                # every resident page is dirty: overflow the capacity
-                # rather than dropping unflushed data
-                break
-            del self._resident[victim]
-            self.evictions.add()
+        evicted = self.residency.admit(page)
+        if evicted:
+            self.evictions.add(len(evicted))
 
     def dirty_pages(self) -> int:
         return len(self._dirty)
@@ -196,17 +191,17 @@ class TieredBackend(StorageBackend):
         waited.  Returns the held page list (empty when everything is
         resident, in which case nothing is held)."""
         while True:
-            missing = [p for p in pages if p not in self._resident]
+            missing = [p for p in pages if p not in self.residency]
             if not missing:
                 return []
             yield from self._acquire(missing)
-            still = [p for p in pages if p not in self._resident]
+            still = [p for p in pages if p not in self.residency]
             if set(still) <= set(missing):
                 return missing
             self._release(missing)  # a page was evicted under us: retry
 
     def resident_pages(self) -> int:
-        return len(self._resident)
+        return len(self.residency)
 
     # -- degraded-mode transitions ---------------------------------------
     def _enter_degraded(self, error: NetworkError) -> None:
@@ -395,8 +390,8 @@ class TieredBackend(StorageBackend):
 
     def _read(self, lba, nbytes, target, target_offset,
               trace_ctx=None) -> Generator:
-        pages = list(self._pages_of(lba, nbytes))
-        missing = [page for page in pages if page not in self._resident]
+        pages = self._pages_of(lba, nbytes)
+        missing = [page for page in pages if page not in self.residency]
         if not missing:
             self.hits.add(len(pages))
             cqe = yield from self.local.io(
@@ -416,7 +411,7 @@ class TieredBackend(StorageBackend):
                     f"degraded tier: {len(missing)} of {len(pages)} pages "
                     f"not resident locally (lba {lba})"
                 )
-            missing = [p for p in pages if p not in self._resident]
+            missing = [p for p in pages if p not in self.residency]
             if not missing:
                 cqe = yield from self._read(lba, nbytes, target,
                                             target_offset,
@@ -427,7 +422,7 @@ class TieredBackend(StorageBackend):
         try:
             # a concurrent op may have fetched pages while we waited
             # for the locks: recompute under the lock
-            missing = [p for p in pages if p not in self._resident]
+            missing = [p for p in pages if p not in self.residency]
             if not missing:
                 self.hits.add(len(pages))
                 cqe = yield from self.local.io(
@@ -440,19 +435,16 @@ class TieredBackend(StorageBackend):
                 return cqe
             self.hits.add(len(pages) - len(missing))
             self.misses.add(len(missing))
-            # fetch the contiguous window covering the missing pages,
-            # clipped to the request (CachedBackend's span rule)
             block = self.platform.config.ssd.block_size
             start_byte = lba * block
             end_byte = start_byte + nbytes
-            span_start = max(start_byte, missing[0] * self.page_bytes)
-            span_lba = span_start // block
-            span_start = span_lba * block
-            span_end = min(end_byte, (missing[-1] + 1) * self.page_bytes)
+            span_start, span_end = miss_window(
+                lba, nbytes, missing, block, self.page_bytes
+            )
             try:
                 cqe = yield from self._fetch_span(
-                    missing, span_lba, span_end - span_start, target,
-                    target_offset + (span_start - start_byte),
+                    missing, span_start // block, span_end - span_start,
+                    target, target_offset + (span_start - start_byte),
                     trace_ctx=trace_ctx,
                 )
             except NetworkError as error:
@@ -496,7 +488,7 @@ class TieredBackend(StorageBackend):
 
     def _write(self, lba, nbytes, payload, target, target_offset,
                trace_ctx=None) -> Generator:
-        pages = list(self._pages_of(lba, nbytes))
+        pages = self._pages_of(lba, nbytes)
         block = self.platform.config.ssd.block_size
         start_byte = lba * block
         end_byte = start_byte + nbytes
@@ -516,7 +508,7 @@ class TieredBackend(StorageBackend):
                 # would later be flushed from a local array that never
                 # held them
                 for page in (pages[0], pages[-1]):
-                    if page in covered or page in self._resident:
+                    if page in covered or page in self.residency:
                         continue
                     try:
                         yield from self._fetch_span(
@@ -571,7 +563,7 @@ class TieredBackend(StorageBackend):
             "degraded_misses": self.degraded_misses.total,
             "queued_writes": self.queued_writes.total,
             "dirty_pages": len(self._dirty),
-            "resident_pages": len(self._resident),
+            "resident_pages": len(self.residency),
             "flushed_pages": self.flushed_pages.total,
             "partitions_detected": self.partitions_detected.total,
             "resyncs": self.resyncs.total,

@@ -4,7 +4,8 @@ The serving stack composes four pieces, each importable from here:
 
 * :class:`KvBlockStore` / :class:`KvLayout` — per-session, per-layer KV
   blocks round-robin striped across the platform's SSDs, with pluggable
-  eviction (:class:`LruPolicy`, :class:`SlidingWindowPolicy`);
+  attention policies (:class:`LruPolicy`, :class:`SlidingWindowPolicy`)
+  that say which blocks a turn requires and which are dead;
 * :class:`SessionPool` / :class:`SessionConfig` — seed-deterministic
   open-loop arrival model (think times, context/decode lengths);
 * :class:`ServingEngine` — the sim-process that serves every session

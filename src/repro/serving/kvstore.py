@@ -16,16 +16,18 @@ The :class:`KvBlockStore` owns three things:
   ``i`` of the global allocation order to SSD ``i mod num_ssds``; the
   map is one packed array of allocation slots per session (8 bytes a
   block), since it keeps every block a run ever allocated;
-* the **residency set**: which blocks currently sit in simulated
-  GPU/host memory (``capacity_blocks``).  Everything else lives only on
-  SSD and must be prefetched before a decode turn can use it;
-* the pluggable **eviction policy** deciding which resident blocks to
-  drop when a new block is admitted over capacity.  Two policies ship:
-  :class:`LruPolicy` (evict the least-recently-used block) and
+* the **residency**: which blocks currently sit in simulated GPU/host
+  memory (``capacity_blocks``), in recency order, in one
+  :class:`~repro.cache.residency.Residency` whose pinned set is the
+  blocks in-flight decodes use.  Everything else lives only on SSD and
+  must be prefetched before a decode turn can use it;
+* the pluggable **attention policy**: which blocks a decode turn
+  requires, and which blocks are dead (never needed again), the
+  preferred eviction victims.  Two policies ship: :class:`LruPolicy`
+  (full attention: every block is required, none is dead) and
   :class:`SlidingWindowPolicy` (prefix-aware windowed attention: a
-  session only *needs* its prompt-prefix blocks plus the last ``window``
-  blocks per layer, so everything in between is both unneeded and the
-  preferred eviction victim).
+  session only *needs* its prompt-prefix blocks plus the last
+  ``window`` blocks per layer, so everything in between is dead).
 
 Eviction never costs I/O here: new blocks are written back to SSD as
 they are produced (the engine's ``write_back`` path), so a resident
@@ -39,10 +41,10 @@ the event heap.
 from __future__ import annotations
 
 from array import array
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.cache.residency import Residency, integer_at_least
 from repro.errors import ConfigurationError
 from repro.hw.platform import Platform
 from repro.units import KiB
@@ -93,45 +95,30 @@ class KvLayout:
 
 
 class LruPolicy:
-    """Evict the least-recently-used resident block.
+    """Full attention: the store evicts the least-recently-used
+    unpinned block.
 
-    Every decode turn needs the session's *entire* context resident
-    (full attention), so :meth:`required` keeps all blocks.
+    Every decode turn needs the session's *entire* context resident,
+    so :meth:`required` keeps all blocks and no block is ever dead.
     """
 
     name = "lru"
 
+    #: predicate marking a block as never needed again, the preferred
+    #: eviction victim (see :class:`~repro.cache.residency.Residency`);
+    #: ``None``: under full attention every block may be needed again
+    dead: Optional[Callable[[BlockKey], bool]] = None
+
     def __init__(self):
-        #: resident blocks in recency order (end = most recent)
-        self._lru: "OrderedDict[BlockKey, None]" = OrderedDict()
         self._store: Optional["KvBlockStore"] = None
 
     def bind(self, store: "KvBlockStore") -> None:
         self._store = store
 
-    # -- residency tracking (called by the store) -----------------------
-    def touch(self, block: BlockKey) -> None:
-        self._lru[block] = None
-        self._lru.move_to_end(block)
-
-    def forget(self, block: BlockKey) -> None:
-        self._lru.pop(block, None)
-
-    def victim(self, pinned) -> Optional[BlockKey]:
-        """The block to drop next; ``None`` when everything is pinned."""
-        for block in self._lru:
-            if block not in pinned:
-                return block
-        return None
-
-    # -- attention pattern ----------------------------------------------
     def required(self, session_id: int,
                  blocks: List[BlockKey]) -> List[BlockKey]:
         """The blocks a decode turn must have resident (all of them)."""
         return blocks
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {len(self._lru)} tracked>"
 
 
 class SlidingWindowPolicy(LruPolicy):
@@ -140,7 +127,8 @@ class SlidingWindowPolicy(LruPolicy):
     A decode turn only attends to the first ``prefix_blocks`` of each
     layer (the prompt "attention sink") plus the last ``window_blocks``;
     blocks in between are never needed again, so they are both excluded
-    from :meth:`required` and preferred as eviction victims.
+    from :meth:`required` and :meth:`dead`, the preferred eviction
+    victims.
     """
 
     name = "window"
@@ -161,16 +149,9 @@ class SlidingWindowPolicy(LruPolicy):
         length = self._store.session_layer_blocks(block[0])
         return index >= length - self.window_blocks
 
-    def victim(self, pinned) -> Optional[BlockKey]:
-        fallback = None
-        for block in self._lru:
-            if block in pinned:
-                continue
-            if not self._needed(block):
-                return block  # dead weight: outside prefix and window
-            if fallback is None:
-                fallback = block
-        return fallback
+    def dead(self, block: BlockKey) -> bool:
+        """Outside the prefix and the window: never attended again."""
+        return not self._needed(block)
 
     def required(self, session_id: int,
                  blocks: List[BlockKey]) -> List[BlockKey]:
@@ -187,8 +168,7 @@ class KvBlockStore:
         capacity_blocks: int = 1024,
         policy: Optional[LruPolicy] = None,
     ):
-        if capacity_blocks < 1:
-            raise ConfigurationError("capacity_blocks must be >= 1")
+        capacity_blocks = integer_at_least("capacity_blocks", capacity_blocks)
         self.platform = platform
         self.layout = layout or KvLayout()
         block_size = platform.config.ssd.block_size
@@ -213,8 +193,12 @@ class KvBlockStore:
         self._slots: Dict[int, array] = {}
         #: session -> tokens appended so far
         self._tokens: Dict[int, int] = {}
-        self._resident: set = set()
+        #: blocks an in-flight decode depends on: never evicted
         self._pinned: set = set()
+        #: resident blocks, least recently used first
+        self.residency = Residency(
+            capacity_blocks, pinned=self._pinned, dead=self.policy.dead
+        )
         #: blocks placed per SSD (allocation-order round-robin proof)
         self.blocks_per_ssd: List[int] = [0] * platform.num_ssds
         self._next_slot = 0
@@ -268,10 +252,10 @@ class KvBlockStore:
 
     @property
     def resident_blocks(self) -> int:
-        return len(self._resident)
+        return len(self.residency)
 
     def is_resident(self, block: BlockKey) -> bool:
-        return block in self._resident
+        return block in self.residency
 
     # -- the serving fast path ------------------------------------------
     def append_tokens(
@@ -283,8 +267,7 @@ class KvBlockStore:
         admits them resident (they are produced in GPU memory) and
         returns ``[(block, lba), ...]`` for the engine to write back.
         """
-        if tokens < 0:
-            raise ConfigurationError(f"negative token append: {tokens}")
+        tokens = integer_at_least("appended tokens", tokens, minimum=0)
         before = self.session_layer_blocks(session_id)
         self._tokens[session_id] = self.session_tokens(session_id) + tokens
         after = self.session_layer_blocks(session_id)
@@ -328,9 +311,10 @@ class KvBlockStore:
         slots = self._slots.get(session_id)
         layers = self._layers
         stripe_blocks = self.stripe_blocks
+        residency = self.residency
         for block in required:
-            if block in self._resident:
-                self.policy.touch(block)
+            if block in residency:
+                residency.touch(block)
                 hits.append(block)
             else:
                 _, layer, index = block
@@ -350,18 +334,10 @@ class KvBlockStore:
         """
         if self._position(block) is None:
             raise ConfigurationError(f"admit of unallocated block {block}")
-        self._resident.add(block)
-        self.policy.touch(block)
-        evicted: List[BlockKey] = []
-        while len(self._resident) > self.capacity_blocks:
-            victim = self.policy.victim(self._pinned)
-            if victim is None:
-                self.overflow_admissions += 1
-                break
-            self._resident.discard(victim)
-            self.policy.forget(victim)
-            self.evictions += 1
-            evicted.append(victim)
+        evicted = self.residency.admit(block)
+        self.evictions += len(evicted)
+        if len(self.residency) > self.capacity_blocks:
+            self.overflow_admissions += 1
         return evicted
 
     # -- pinning (blocks an in-flight decode depends on) ----------------

@@ -255,7 +255,7 @@ class ReactorPool:
         ``index % active_count`` round-robin.  Crashed reactors inside the
         active window are skipped; if the whole window is dead, every
         alive reactor (anywhere) is drafted, and an all-dead pool raises
-        :class:`ReactorOfflineError`.
+        :class:`ReactorOfflineError` and keeps its window.
 
         ``remap()`` with no argument re-balances over the current window —
         the failover entry point after a crash or revive.  Another count
@@ -269,7 +269,6 @@ class ReactorPool:
                 f"active reactor count must be an integer in "
                 f"[1, {len(self.reactors)}], not {active_count!r}"
             )
-        self._active = count
         candidates = [
             reactor.reactor_id
             for reactor in self.reactors[:count]
@@ -282,9 +281,11 @@ class ReactorPool:
                 if not reactor.crashed
             ]
         if not candidates:
+            # raised before the window is recorded: no SSD moved
             raise ReactorOfflineError(
                 "every reactor in the pool is offline"
             )
+        self._active = count
         self._assignment = [
             candidates[index % len(candidates)]
             for index in range(len(self._assignment))

@@ -71,6 +71,37 @@ GOLDEN = {
         "compute and holds N/2 under I/O, at the static allocations' "
         "simulated end",
     ),
+    "host_cache_pinned": Golden(
+        {
+            "spdk": {
+                "gb_per_s": 16.743278287675096,
+                "hit_rate": 0.7366666666666667,
+                "evictions": 173, "sim_end": 0.0002935625816849817,
+            },
+            "cam": {
+                "gb_per_s": 15.805641509771105,
+                "hit_rate": 0.7383333333333333,
+                "evictions": 170, "sim_end": 0.0003109775706959699,
+            },
+        },
+        "924b7ff",
+        "the host-cache study's zipf trace (1200 x 4 KiB reads, 2 SSDs) "
+        "through a 128 KiB CachedBackend over SPDK and over CAM: 32 pages "
+        "against its 2 MiB cache's 512, so the trace evicts and every "
+        "victim the residency core picks moves these numbers",
+    ),
+    "window_policy_pinned": Golden(
+        {
+            250: {"sim_end": 0.17984320810715848, "kv_evictions": 3268,
+                  "kv_hit_rate": 0.35133239831697055},
+            1000: {"sim_end": 0.360212207501297, "kv_evictions": 17210,
+                   "kv_hit_rate": 0.10361402884101834},
+        },
+        "924b7ff",
+        "CAM KV-cache serving under SlidingWindowPolicy(window_blocks=2, "
+        "prefix_blocks=1): its dead-first, pinned-aware evictions hold "
+        "this simulated end, eviction count and hit rate",
+    ),
     "autotune_tolerance": Golden(
         1e-6, "2139913",
         "float slack on elastic >= best static throughput, so identical "

@@ -1,23 +1,41 @@
-"""Differential test: CachedBackend vs a reference page-cache model.
+"""Differential tests: every cache's residency against one reference.
 
-A pure-Python LRU page cache (no simulation, no timing) replays the same
-operation sequence and predicts hit/miss/eviction counts, the exact span
-each read should charge to the inner backend, and write-through recency.
-Hypothesis drives random op sequences through both and any divergence is
-a bug in the accounting — this is the harness that pinned the partial-hit
-and write-publish fixes.
+:class:`ReferenceResidency` states the residency rule on a bare
+``OrderedDict``: over capacity, drop the oldest unpinned key, a dead one
+first, and with every key pinned stay over capacity.
+
+* ``CachedBackend`` runs against a pure-Python page-cache model built on
+  it (no simulation, no timing) that predicts hit/miss/eviction counts,
+  the exact span each read should charge to the inner backend, and
+  write-through recency — the harness that pinned the partial-hit and
+  write-publish fixes.
+* ``GpuCache``, ``TieredBackend`` and ``KvBlockStore`` each run twice on
+  one Hypothesis-drawn operation sequence, once on their own
+  :class:`~repro.cache.residency.Residency` and once with the reference
+  in its place, and must agree on every plan, the resident keys in
+  order, the evicted keys and every counter.
 """
 
 from collections import OrderedDict
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import CacheCompletion, CachedBackend
 from repro.backends.base import StorageBackend
+from repro.cache import GpuCache, ReadaheadConfig
 from repro.config import PlatformConfig
+from repro.errors import ConfigurationError
 from repro.hw.platform import Platform
+from repro.net import build_disagg
+from repro.serving import (
+    KvBlockStore,
+    KvLayout,
+    LruPolicy,
+    SlidingWindowPolicy,
+)
 
 PAGE = 4096
 BLOCK = 512
@@ -44,23 +62,90 @@ class SpyBackend(StorageBackend):
         return CacheCompletion(nbytes=nbytes, complete_time=self.env.now)
 
 
+class ReferenceResidency:
+    """The residency rule, written for clarity rather than speed."""
+
+    def __init__(self, capacity, pinned=(), dead=None):
+        self.capacity = capacity
+        self.pinned = pinned
+        self.dead = dead
+        self.keys = OrderedDict()
+
+    def __contains__(self, key):
+        return key in self.keys
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __iter__(self):
+        return iter(self.keys)
+
+    def touch(self, key):
+        self.keys.move_to_end(key)
+
+    def admit(self, key):
+        self.keys[key] = None
+        self.keys.move_to_end(key)
+        evicted = []
+        while len(self.keys) > self.capacity:
+            unpinned = [k for k in self.keys if k not in self.pinned]
+            if not unpinned:
+                break  # every key pinned: over capacity
+            dead = [k for k in unpinned if self.dead and self.dead(k)]
+            victim = (dead or unpinned)[0]
+            del self.keys[victim]
+            evicted.append(victim)
+        return evicted
+
+
+def _record_evictions(consumer):
+    """The list every key ``consumer``'s residency evicts is appended
+    to, in eviction order."""
+    evicted = []
+    residency = consumer.residency
+    admit = residency.admit
+
+    def recording_admit(key):
+        dropped = admit(key)
+        evicted.extend(dropped)
+        return dropped
+
+    residency.admit = recording_admit
+    return evicted
+
+
+def _on_core(consumer, reference):
+    """Move ``consumer`` onto the reference residency if asked; returns
+    the list its residency records every evicted key in."""
+    if reference:
+        core = consumer.residency
+        consumer.residency = ReferenceResidency(
+            core.capacity, core.pinned, core.dead
+        )
+    return _record_evictions(consumer)
+
+
+def _assert_same_on_both(outcome, *case):
+    """``outcome(*case, reference)`` is plain data, so a failing example
+    keeps no simulated platform alive; the core and the reference must
+    give the same one, and count every key they evicted."""
+    core = outcome(*case, reference=False)
+    assert core == outcome(*case, reference=True)
+    assert core["evictions"] == len(core["evicted"])
+
+
 class ReferenceCache:
     """What CachedBackend *should* do, in arithmetic only."""
 
     def __init__(self, capacity_pages):
-        self.capacity_pages = capacity_pages
-        self.lru = OrderedDict()
+        self.lru = ReferenceResidency(capacity_pages)
         self.hits = 0
         self.misses = 0
-        self.evictions = 0
+        self.evicted = []
         self.fetches = []  # (lba, nbytes, target_offset) per inner read
 
     def _touch(self, page):
-        self.lru[page] = None
-        self.lru.move_to_end(page)
-        while len(self.lru) > self.capacity_pages:
-            self.lru.popitem(last=False)
-            self.evictions += 1
+        self.evicted.extend(self.lru.admit(page))
 
     def pages_of(self, lba, nbytes):
         start = lba * BLOCK
@@ -137,6 +222,7 @@ def test_cached_backend_matches_reference_model_deep(ops, capacity):
 
 def _assert_matches_reference(ops, capacity):
     platform, spy, cached = _build(capacity)
+    evicted = _record_evictions(cached)
     reference = ReferenceCache(capacity)
 
     _replay(platform, cached, ops)
@@ -148,8 +234,9 @@ def _assert_matches_reference(ops, capacity):
 
     assert cached.hits.total == reference.hits
     assert cached.misses.total == reference.misses
-    assert cached.evictions.total == reference.evictions
-    assert list(cached._lru) == list(reference.lru)
+    assert cached.evictions.total == len(reference.evicted)
+    assert evicted == reference.evicted
+    assert list(cached.residency) == list(reference.lru)
     reads = [(lba, nbytes, off) for lba, nbytes, w, off in spy.calls
              if not w]
     assert reads == reference.fetches
@@ -233,8 +320,8 @@ def test_write_through_refreshes_recency():
         yield from cached.io(2 * LBAS_PER_PAGE, PAGE)       # evicts 1
 
     platform.env.run(platform.env.process(proc()))
-    assert cached._cached(0)
-    assert not cached._cached(1)
+    assert 0 in cached.residency
+    assert 1 not in cached.residency
 
 
 def test_full_hit_returns_typed_completion():
@@ -250,3 +337,300 @@ def test_full_hit_returns_typed_completion():
     assert cqe.command_id is None
     assert cqe.source == "host-cache"
     assert cqe.pages == 1
+
+
+# -- GpuCache: plans, commits, aborts and fills ------------------------
+
+LINE = 4096
+LBAS_PER_LINE = LINE // BLOCK
+#: predicts after two accesses and re-probes soon, so short drawn
+#: sequences exercise speculative admission, use and waste
+EAGER_READAHEAD = ReadaheadConfig(
+    depth=2, min_run=2, min_accuracy=0.5, probation=4, cooldown=3
+)
+
+#: the lines of one batch: scattered, or a strided run the readahead
+#: detector can follow
+_gpu_lines = st.one_of(
+    st.lists(st.integers(0, 15), min_size=1, max_size=6),
+    st.builds(
+        lambda start, count, stride: [
+            start + i * stride for i in range(count)
+        ],
+        st.integers(0, 12), st.integers(1, 5), st.integers(1, 2),
+    ),
+)
+_gpu_settle = st.tuples(
+    st.sampled_from(["commit_demand", "abort_demand",
+                     "commit_speculative", "abort_speculative"]),
+    st.integers(0, 63),
+)
+_gpu_op = st.one_of(
+    st.tuples(st.just("access"), _gpu_lines, st.integers(0, 1)),
+    _gpu_settle,
+    _gpu_settle,
+    st.tuples(
+        st.just("fill"),
+        st.integers(0, 16 * LBAS_PER_LINE),
+        st.integers(1, 3 * LINE),
+    ),
+    st.builds(  # a write-back of whole lines
+        lambda line, count: ("fill", line * LBAS_PER_LINE, count * LINE),
+        st.integers(0, 15), st.integers(1, 3),
+    ),
+)
+_gpu_case = st.tuples(
+    st.lists(_gpu_op, min_size=1, max_size=40),
+    st.integers(1, 4),
+    st.booleans(),
+)
+
+
+def _gpu_cache_outcome(ops, capacity, readahead, reference):
+    platform = Platform(PlatformConfig(num_ssds=1), functional=False)
+    cache = GpuCache(
+        platform, capacity_bytes=capacity * LINE, line_bytes=LINE,
+        readahead=EAGER_READAHEAD if readahead else False,
+    )
+    evicted = _on_core(cache, reference)
+    plans = []
+    # plans whose demand / speculative lines are still unsettled
+    unsettled = {"demand": [], "speculative": []}
+    for op in ops:
+        if op[0] == "access":
+            lbas = [line * LBAS_PER_LINE for line in op[1]]
+            plan = cache.access_batch(lbas, LINE, consumer=op[2])
+            unsettled["demand"].append(plan)
+            unsettled["speculative"].append(plan)
+            plans.append((plan.hit_lbas, plan.missing_lbas,
+                          plan.speculative_lbas))
+        elif op[0] == "fill":
+            cache.fill([op[1]], granularity=op[2])
+        else:
+            pending = unsettled[op[0].split("_")[1]]
+            if pending:
+                getattr(cache, op[0])(pending.pop(op[1] % len(pending)))
+    return {
+        "plans": plans, "resident": list(cache.residency),
+        "evicted": evicted,
+        **{counter: getattr(cache, counter) for counter in (
+            "hits", "misses", "evictions", "fills", "readahead_issued",
+            "readahead_used", "readahead_wasted",
+        )},
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_gpu_case)
+def test_gpu_cache_matches_the_reference_residency(case):
+    _assert_same_on_both(_gpu_cache_outcome, *case)
+
+
+# -- TieredBackend: reads, writes and flushes on a healthy fabric ------
+
+_tier_op = st.one_of(
+    st.tuples(
+        st.sampled_from(["read", "write"]),
+        st.integers(0, 12 * LBAS_PER_PAGE),
+        st.integers(1, 3 * PAGE),
+    ),
+    st.tuples(st.just("flush"), st.integers(0, 3)),
+)
+_tier_case = st.tuples(
+    st.lists(_tier_op, min_size=1, max_size=30),
+    st.integers(1, 4),          # capacity in pages
+    st.sampled_from([1, 4, 8]),  # page_blocks
+    st.integers(1, 6),          # flush watermark
+    st.integers(1, 3),          # flush burst
+)
+
+
+def _tier_outcome(ops, capacity, page_blocks, watermark, burst,
+                  reference):
+    platform = Platform(PlatformConfig(num_ssds=1), functional=False)
+    tier = build_disagg(
+        platform, num_nodes=1, functional=False,
+        capacity_bytes=capacity * page_blocks * BLOCK,
+        page_blocks=page_blocks, flush_watermark=watermark,
+        flush_burst=burst,
+    )
+    evicted = _on_core(tier, reference)
+
+    def workload():
+        for op in ops:
+            if op[0] == "flush":
+                yield from tier.flush(max_pages=op[1] or None)
+            else:
+                yield from tier.io(op[1], op[2], is_write=op[0] == "write")
+
+    platform.env.run(platform.env.process(workload()))
+    return {
+        "resident": list(tier.residency), "evicted": evicted,
+        "dirty": tier.dirty_pages(), "sim_end": platform.env.now,
+        **{counter: getattr(tier, counter).total for counter in (
+            "hits", "misses", "evictions", "flushed_pages",
+        )},
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_tier_case)
+def test_tiered_backend_matches_the_reference_residency(case):
+    _assert_same_on_both(_tier_outcome, *case)
+
+
+# -- KvBlockStore: appends, acquires, admits and pins ------------------
+
+TOKENS_PER_BLOCK = KvLayout().tokens_per_block
+
+_kv_op = st.one_of(
+    st.tuples(st.just("append"), st.integers(0, 3),
+              st.integers(0, 6 * TOKENS_PER_BLOCK)),
+    st.tuples(st.sampled_from(["begin", "end"]), st.integers(0, 3)),
+    st.tuples(st.just("admit"), st.integers(0, 3), st.integers(0, 63)),
+)
+_kv_ops = st.lists(_kv_op, min_size=1, max_size=40)
+#: (window_blocks, prefix_blocks) of a SlidingWindowPolicy
+_kv_window = st.tuples(st.integers(1, 3), st.integers(0, 2))
+_kv_case = st.tuples(_kv_ops, st.integers(1, 6), st.none() | _kv_window)
+
+
+def _kv_store_outcome(ops, capacity, window, reference):
+    platform = Platform(PlatformConfig(num_ssds=2), functional=False)
+    store = KvBlockStore(
+        platform, KvLayout(), capacity_blocks=capacity,
+        policy=LruPolicy() if window is None
+        else SlidingWindowPolicy(*window),
+    )
+    evicted = _on_core(store, reference)
+    lookups = []
+    pinned = {}  # session -> the blocks its in-flight turn pinned
+    for op in ops:
+        session = op[1]
+        if op[0] == "append":
+            store.append_tokens(session, op[2])
+        elif op[0] == "begin":
+            # the serving engine's turn: pin what it needs, load it
+            hits, missing = store.acquire(session)
+            lookups.append((hits, missing))
+            pinned[session] = hits + [block for block, _ in missing]
+            store.pin(pinned[session])
+            for block, _ in missing:
+                store.admit(block)
+        elif op[0] == "end":
+            store.unpin(pinned.pop(session, ()))
+        else:
+            blocks = store.session_blocks(session)
+            if blocks:
+                store.admit(blocks[op[2] % len(blocks)])
+    return {
+        "lookups": lookups, "resident": list(store.residency),
+        "evicted": evicted,
+        **{counter: getattr(store, counter) for counter in (
+            "hits", "misses", "evictions", "overflow_admissions",
+        )},
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_kv_ops, capacity=st.integers(1, 6))
+def test_kv_block_store_matches_the_reference_residency(ops, capacity):
+    _assert_same_on_both(_kv_store_outcome, ops, capacity, None)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=_kv_ops, capacity=st.integers(1, 6), window=_kv_window)
+def test_windowed_kv_block_store_matches_the_reference_residency(
+    ops, capacity, window,
+):
+    _assert_same_on_both(_kv_store_outcome, ops, capacity, window)
+
+
+@pytest.mark.slow
+@settings(max_examples=2000, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=st.one_of(
+    st.tuples(st.just(_gpu_cache_outcome), _gpu_case),
+    st.tuples(st.just(_tier_outcome), _tier_case),
+    st.tuples(st.just(_kv_store_outcome), _kv_case),
+))
+def test_every_consumer_matches_the_reference_residency_deep(case):
+    outcome, args = case
+    _assert_same_on_both(outcome, *args)
+
+
+# -- geometry: one integer rule for every cache ------------------------
+
+def _spy_cache(page_bytes):
+    platform = Platform(PlatformConfig(num_ssds=1), functional=False)
+    return CachedBackend(SpyBackend(platform), 4096, page_bytes=page_bytes)
+
+
+def _gpu_cache():
+    platform = Platform(PlatformConfig(num_ssds=1), functional=False)
+    return GpuCache(platform, capacity_bytes=4 * LINE, readahead=False)
+
+
+def _gpu_access(granularity):
+    cache = _gpu_cache()
+    try:
+        cache.access_batch([0], granularity=granularity)
+    finally:
+        assert cache.hits == cache.misses == 0
+
+
+def _tier(page_blocks):
+    platform = Platform(PlatformConfig(num_ssds=1), functional=False)
+    build_disagg(platform, num_nodes=1, functional=False,
+                 page_blocks=page_blocks)
+
+
+def _kv_store(capacity_blocks=8):
+    platform = Platform(PlatformConfig(num_ssds=2), functional=False)
+    return KvBlockStore(platform, capacity_blocks=capacity_blocks)
+
+
+def _kv_append(tokens):
+    store = _kv_store()
+    try:
+        store.append_tokens(0, tokens)
+    finally:
+        assert store.session_tokens(0) == 0
+        assert store.allocated_blocks == 0
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: _spy_cache(0), id="zero page_bytes"),
+    pytest.param(lambda: _spy_cache(-4096), id="negative page_bytes"),
+    pytest.param(lambda: _spy_cache(True), id="boolean page_bytes"),
+    pytest.param(
+        lambda: GpuCache(
+            Platform(PlatformConfig(num_ssds=1), functional=False),
+            capacity_bytes=4 * LINE, line_bytes=4096.0,
+        ),
+        id="float line_bytes",
+    ),
+    pytest.param(lambda: _gpu_access(100.5), id="fractional granularity"),
+    pytest.param(lambda: _gpu_access(True), id="boolean granularity"),
+    pytest.param(lambda: _tier(1.5), id="fractional page_blocks"),
+    pytest.param(lambda: _kv_store(1.5), id="fractional capacity_blocks"),
+    pytest.param(lambda: _kv_store(True), id="boolean capacity_blocks"),
+    pytest.param(lambda: _kv_append(1.5), id="fractional token count"),
+])
+def test_cache_geometry_rejects_a_non_integer_before_any_state_changes(
+    build,
+):
+    with pytest.raises(ConfigurationError):
+        build()
+
+
+def test_cache_geometry_takes_numpy_integers():
+    assert _spy_cache(np.int64(PAGE)).page_bytes == PAGE
+    cache = _gpu_cache()
+    assert cache.access_batch([0], granularity=np.int64(LINE)).missing_lbas
+    store = _kv_store(np.int64(8))
+    assert len(store.append_tokens(0, np.int64(TOKENS_PER_BLOCK))) == 2
+    platform = Platform(PlatformConfig(num_ssds=1), functional=False)
+    tier = build_disagg(platform, num_nodes=1, functional=False,
+                        page_blocks=np.int64(8))
+    assert tier.page_bytes == 8 * BLOCK

@@ -1,17 +1,14 @@
-"""GPU cache tier: policies, readahead detector, plan/commit protocol,
-backend wrapper, serving + graph integration, telemetry."""
+"""GPU cache tier: replacement, readahead detector, plan/commit
+protocol, serving + graph integration, telemetry."""
 
 import pytest
 
 from repro.backends import make_backend
 from repro.cache import (
-    FifoLines,
     GpuCache,
-    GpuCacheCompletion,
-    LruLines,
     ReadaheadConfig,
     ReadaheadStream,
-    make_line_policy,
+    Residency,
 )
 from repro.config import PlatformConfig
 from repro.errors import ConfigurationError
@@ -32,34 +29,20 @@ def _cache(platform=None, lines=4, line_bytes=4096, readahead=False,
     )
 
 
-# --- replacement policies ---------------------------------------------------
+# --- replacement -----------------------------------------------------------
 
 def test_lru_policy_evicts_least_recently_used():
-    lru = LruLines()
+    residency = Residency(3)
     for line in (1, 2, 3):
-        lru.admit(line)
-    lru.touch(1)
-    assert lru.evict() == 2
-    assert lru.evict() == 3
-    assert lru.evict() == 1
-    assert lru.evict() is None
-
-
-def test_fifo_policy_ignores_recency():
-    fifo = FifoLines()
-    for line in (1, 2, 3):
-        fifo.admit(line)
-    fifo.touch(1)
-    fifo.admit(1)  # re-admission keeps queue position
-    assert fifo.evict() == 1
-    assert fifo.evict() == 2
-
-
-def test_make_line_policy():
-    assert isinstance(make_line_policy("lru"), LruLines)
-    assert isinstance(make_line_policy("fifo"), FifoLines)
-    with pytest.raises(ConfigurationError):
-        make_line_policy("clock")
+        assert residency.admit(line) == []
+    residency.touch(1)
+    assert list(residency) == [2, 3, 1]
+    assert residency.admit(4) == [2]
+    assert residency.admit(3) == []        # re-admission refreshes
+    assert residency.admit(5) == [1]
+    assert list(residency) == [4, 3, 5]
+    with pytest.raises(KeyError):
+        residency.touch(1)                 # touch never admits
 
 
 # --- readahead detector -----------------------------------------------------
@@ -271,29 +254,6 @@ def test_streams_are_per_consumer():
     assert cache.stream("a") is not cache.stream("b")
 
 
-def test_access_span_partial_hit_fetches_only_missing_window():
-    platform, cache = _cache(lines=16)
-    cache.commit(cache.access_batch([0]))   # line 0 resident
-    plan = cache.access_span(0, 4 * 4096)   # lines 0..3
-    assert plan.hit_lines == [0]
-    assert plan.missing_lines == [1, 2, 3]
-    assert plan.fetch_lba == 8              # starts at line 1
-    assert plan.fetch_nbytes == 3 * 4096
-    assert plan.fetch_offset_bytes == 4096
-    assert plan.hit_bytes == 4096
-
-
-def test_access_span_interior_hit_still_fetches_one_window():
-    platform, cache = _cache(lines=16)
-    cache.commit(cache.access_batch([8]))   # line 1 resident (interior)
-    plan = cache.access_span(0, 3 * 4096)   # lines 0..2
-    assert plan.missing_lines == [0, 2]
-    # one contiguous window covering both misses (line 1 refetched)
-    assert plan.fetch_lba == 0
-    assert plan.fetch_nbytes == 3 * 4096
-    assert plan.hit_bytes == 0
-
-
 def test_fill_admits_only_fully_covered_lines():
     platform, cache = _cache(lines=8)
     cache.fill([0], granularity=4096)       # full line 0
@@ -336,93 +296,6 @@ def test_gpucache_without_metrics_registers_nothing():
     platform, cache = _cache()
     cache.commit(cache.access_batch([0]))
     assert not platform.env.metrics.enabled
-
-
-# --- the backend wrapper ----------------------------------------------------
-
-def _gpu_cached(num_ssds=2, lines=8, inner="spdk", readahead=False):
-    from repro.cache import GpuCachedBackend
-
-    platform = _platform(num_ssds)
-    backend = make_backend(inner, platform)
-    cache = GpuCache(
-        platform, capacity_bytes=lines * 4096, line_bytes=4096,
-        readahead=readahead,
-    )
-    return platform, GpuCachedBackend(backend, cache)
-
-
-def test_backend_hit_is_much_faster_than_miss():
-    platform, backend = _gpu_cached()
-    env = platform.env
-
-    def proc():
-        start = env.now
-        yield from backend.io(0, 4096)
-        miss_time = env.now - start
-        start = env.now
-        cqe = yield from backend.io(0, 4096)
-        return miss_time, env.now - start, cqe
-
-    miss_time, hit_time, cqe = env.run(env.process(proc()))
-    assert hit_time < miss_time / 100   # HBM vs SSD round trip
-    assert isinstance(cqe, GpuCacheCompletion)
-    assert cqe.command_id is None
-
-
-def test_backend_partial_hit_fetches_only_missing_span():
-    platform, backend = _gpu_cached()
-    env = platform.env
-    fetches = []
-    inner_io = backend.inner.io
-
-    def spy(lba, nbytes, **kwargs):
-        fetches.append((lba, nbytes))
-        return inner_io(lba, nbytes, **kwargs)
-
-    backend.inner.io = spy
-
-    def proc():
-        yield from backend.io(0, 4096)          # line 0 resident
-        yield from backend.io(0, 4 * 4096)      # lines 0..3: partial
-
-    env.run(env.process(proc()))
-    assert fetches == [(0, 4096), (8, 3 * 4096)]
-    assert backend.cache.hits == 1
-    assert backend.cache.misses == 4
-
-
-def test_backend_write_through_fills_cache():
-    platform, backend = _gpu_cached()
-    env = platform.env
-
-    def proc():
-        yield from backend.io(0, 4096, is_write=True)
-        cqe = yield from backend.io(0, 4096)
-        return cqe
-
-    cqe = env.run(env.process(proc()))
-    assert isinstance(cqe, GpuCacheCompletion)  # read-after-write hit
-    assert backend.cache.fills == 1
-
-
-def test_backend_speculation_rides_cam_async_path():
-    platform, backend = _gpu_cached(
-        inner="cam", lines=32,
-        readahead=ReadaheadConfig(depth=2, min_run=2, probation=64),
-    )
-    env = platform.env
-
-    def proc():
-        for line in range(4):                   # sequential scan
-            yield from backend.io(line * 8, 4096)
-        yield env.timeout(1e-3)                 # let speculation land
-
-    env.run(env.process(proc()))
-    cache = backend.cache
-    assert cache.readahead_issued > 0
-    assert cache.resident_lines > 4             # speculative lines landed
-    assert backend.name == "cam+gpucache"
 
 
 # --- serving + graph integration --------------------------------------------

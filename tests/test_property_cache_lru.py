@@ -71,8 +71,8 @@ def test_cache_writes_never_admit_new_pages(capacity, reads, write_page):
     def workload():
         for page in reads:
             yield from cache.io(page * 8, 4096)
-        resident_before = set(cache._lru)
+        resident_before = set(cache.residency)
         yield from cache.io(write_page * 8, 4096, is_write=True)
-        assert set(cache._lru) == resident_before
+        assert set(cache.residency) == resident_before
 
     platform.env.run(platform.env.process(workload()))

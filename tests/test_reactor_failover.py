@@ -163,3 +163,27 @@ def test_remap_keeps_assignment_a_partition(num_ssds, num_reactors, ops):
         assert set(assignment) <= alive
         counts = [assignment.count(rid) for rid in sorted(set(assignment))]
         assert max(counts) - min(counts) <= 1
+
+
+def test_a_failed_resize_of_a_dead_pool_keeps_the_window():
+    """Resizing a pool whose every reactor crashed raises and changes
+    nothing: the window stays the one the SSDs sit in, so the revived
+    reactors share the SSDs over that window."""
+    platform = Platform(PlatformConfig(num_ssds=12), functional=False)
+    manager = CamManager(platform, num_cores=6)
+    driver = manager.driver
+    manager.set_active_reactors(4)
+    for reactor_id in range(6):
+        driver.fail_reactor(reactor_id)
+    owners = [handle.reactor.reactor_id for handle in driver._handles]
+    epoch = driver.resize_epoch
+
+    with pytest.raises(ReactorOfflineError):
+        manager.set_active_reactors(2)
+
+    assert manager.active_reactors == 4
+    assert [h.reactor.reactor_id for h in driver._handles] == owners
+    assert driver.resize_epoch == epoch
+    driver.revive_reactor(3)
+    driver.revive_reactor(1)
+    assert {h.reactor.reactor_id for h in driver._handles} == {1, 3}

@@ -198,24 +198,30 @@ def test_window_policy_requires_only_prefix_and_window():
 
 
 def test_window_policy_evicts_dead_weight_first():
+    # 10 blocks x 2 layers into 19 slots: the last admission evicts
     _, store = _store(
-        capacity_blocks=4096,
+        capacity_blocks=19,
         policy=SlidingWindowPolicy(window_blocks=2, prefix_blocks=1),
     )
     store.append_tokens(0, 10 * store.layout.tokens_per_block)
-    victim = store.policy.victim(pinned=frozenset())
-    _, _, index = victim
+    evicted = [b for b in store.session_blocks(0)
+               if not store.is_resident(b)]
+    assert len(evicted) == store.evictions == 1
+    _, _, index = evicted[0]
     length = store.session_layer_blocks(0)
     assert 1 <= index < length - 2  # not prefix, not window
+    assert store.is_resident((0, 0, 0))  # the LRU block, but needed
 
 
 def test_window_policy_falls_back_to_lru_when_all_needed():
+    # 3 blocks x 2 layers into 5 slots, every block inside the window
     _, store = _store(
-        capacity_blocks=4096,
+        capacity_blocks=5,
         policy=SlidingWindowPolicy(window_blocks=8, prefix_blocks=1),
     )
     store.append_tokens(0, 3 * store.layout.tokens_per_block)
-    assert store.policy.victim(pinned=frozenset()) is not None
+    assert store.evictions == 1
+    assert not store.is_resident((0, 0, 0))
 
 
 def test_window_policy_validation():
