@@ -27,7 +27,6 @@ from repro.cache.residency import (
     miss_window,
     pages_of,
 )
-from repro.errors import ConfigurationError
 from repro.sim.stats import Counter
 
 
@@ -65,10 +64,9 @@ class CachedBackend(StorageBackend):
         to_gpu: bool = True,
     ):
         page_bytes = integer_at_least("page_bytes", page_bytes)
-        if capacity_bytes < page_bytes:
-            raise ConfigurationError(
-                "cache must hold at least one page"
-            )
+        capacity_bytes = integer_at_least(
+            "capacity_bytes", capacity_bytes, minimum=page_bytes
+        )
         super().__init__(inner.platform, reliability=inner.reliability)
         self.inner = inner
         self.model_name = inner.model_name

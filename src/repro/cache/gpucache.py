@@ -88,8 +88,9 @@ class GpuCache:
                 f"line_bytes {line_bytes} must be a multiple of the SSD "
                 f"block size {block}"
             )
-        if capacity_bytes < line_bytes:
-            raise ConfigurationError("cache must hold at least one line")
+        capacity_bytes = integer_at_least(
+            "capacity_bytes", capacity_bytes, minimum=line_bytes
+        )
         self.platform = platform
         self.env = platform.env
         self.line_bytes = line_bytes
@@ -152,10 +153,6 @@ class GpuCache:
     @property
     def throttled_streams(self) -> int:
         return sum(1 for s in self._streams.values() if s.throttled)
-
-    @property
-    def throttles(self) -> int:
-        return sum(s.throttles for s in self._streams.values())
 
     def hit_seconds(self, nbytes: int) -> float:
         """Time to serve ``nbytes`` from GPU DRAM (one HBM crossing)."""
@@ -329,7 +326,10 @@ class GpuCache:
         covered by the write are admitted — a partial write of a
         non-resident line would leave the rest of the line stale.
         """
-        granularity = self.line_bytes if granularity is None else granularity
+        granularity = (
+            self.line_bytes if granularity is None
+            else integer_at_least("fill granularity", granularity)
+        )
         for lba in lbas:
             start = lba * self._block
             for line in pages_of(lba, granularity, self._block,
@@ -347,21 +347,6 @@ class GpuCache:
         self._publish()
 
     # -- telemetry ------------------------------------------------------
-    def stats(self) -> Dict[str, float]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate(),
-            "evictions": self.evictions,
-            "fills": self.fills,
-            "resident_lines": self.resident_lines,
-            "readahead_issued": self.readahead_issued,
-            "readahead_used": self.readahead_used,
-            "readahead_wasted": self.readahead_wasted,
-            "readahead_accuracy": self.readahead_accuracy(),
-            "throttles": self.throttles,
-        }
-
     def publish(self) -> None:
         """Force a registry refresh (the sampler's pull hook)."""
         self._publish()

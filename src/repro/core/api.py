@@ -15,7 +15,9 @@ Device side (:class:`CamDeviceAPI`, used inside simulated GPU kernels):
 
 The calls are asynchronous under the hood (the GPU returns right after
 ringing the doorbell) but read synchronously at the call site — the
-paper's Goal 3.
+paper's Goal 3.  :class:`CamDeviceAPI` is the ticketed
+:class:`~repro.core.async_api.CamAsyncAPI` with one outstanding ticket
+per direction.
 """
 
 from __future__ import annotations
@@ -25,24 +27,18 @@ from typing import Generator, List, Optional
 import numpy as np
 
 from repro.config import CAMConfig
-from repro.core.control import (
-    BatchRequest,
-    CamManager,
-    check_granularity,
-    check_lbas,
-)
+from repro.core.async_api import CamAsyncAPI, CamTicket
+from repro.core.control import CamManager
 from repro.core.elastic import (
     BATCH_HIGH_WATER, BATCH_LOW_WATER, ElasticController, ElasticCorePolicy,
 )
-from repro.core.regions import BatchArgs, SyncRegions
 from repro.errors import APIUsageError
 from repro.hw.gpu import GPUBuffer
 from repro.hw.platform import Platform
-from repro.obs.causal import mint_context
 
 
 class CamContext:
-    """CAM_init: SSD controllers, manager threads and sync regions.
+    """CAM_init: SSD controllers and manager threads.
 
     ``autotune`` builds the manager's one core-sizing loop,
     :attr:`controller`, fed the paper's per-batch signal at each
@@ -126,32 +122,6 @@ class CamContext:
         if self._closed:
             raise APIUsageError("context is closed")
 
-    def check_batch(
-        self, lbas, buffer: Optional[GPUBuffer], granularity: int,
-        payloads: Optional[list] = None,
-    ) -> np.ndarray:
-        """The batch preconditions both device APIs check before the
-        doorbell; returns ``lbas`` as an int64 array."""
-        self._check_open()
-        lbas = np.asarray(check_lbas(lbas), dtype=np.int64)
-        check_granularity(granularity)
-        if len(lbas) > self.max_batch_requests:
-            raise APIUsageError(
-                f"batch of {len(lbas)} exceeds max_batch_requests "
-                f"{self.max_batch_requests}"
-            )
-        if payloads is not None and len(payloads) != len(lbas):
-            raise APIUsageError("payloads must match the LBA array length")
-        if buffer is not None:
-            if not buffer.pinned:
-                raise APIUsageError("buffer must be pinned CAM_alloc memory")
-            if len(lbas) * granularity > buffer.size:
-                raise APIUsageError(
-                    f"batch of {len(lbas)} x {granularity}B overflows "
-                    f"{buffer.size}B buffer"
-                )
-        return lbas
-
     def __enter__(self) -> "CamContext":
         self._check_open()
         return self
@@ -166,32 +136,18 @@ class CamContext:
         return CamDeviceAPI(self)
 
 
-class _PendingBatch:
-    """A prefetch/write_back in flight: its regions + completion event."""
+class CamDeviceAPI(CamAsyncAPI):
+    """Device-side calls; every method is a simulated-GPU coroutine.
 
-    def __init__(self, regions: SyncRegions, done, rung_at: float,
-                 trace_ctx=None, ctx_owned: bool = False):
-        self.regions = regions
-        self.done = done
-        self.rung_at = rung_at
-        #: causal context the batch belongs to, and whether this API
-        #: minted it (and must finish it at synchronize)
-        self.trace_ctx = trace_ctx
-        self.ctx_owned = ctx_owned
-
-
-class CamDeviceAPI:
-    """Device-side calls; every method is a simulated-GPU coroutine."""
+    One outstanding batch per direction: each call submits through
+    :meth:`~repro.core.async_api.CamAsyncAPI.submit` and keeps the
+    ticket until its synchronize waits on it.
+    """
 
     def __init__(self, context: CamContext):
-        self.context = context
-        self.env = context.env
-        self._pending_prefetch: Optional[_PendingBatch] = None
-        self._pending_writeback: Optional[_PendingBatch] = None
-        #: caller-bound :class:`~repro.obs.causal.RequestContext`; when
-        #: set (e.g. by the serving engine for one turn), batches join
-        #: that request instead of minting their own context
-        self.trace_ctx = None
+        super().__init__(context)
+        self._prefetch_ticket: Optional[CamTicket] = None
+        self._write_back_ticket: Optional[CamTicket] = None
 
     # -- prefetch ----------------------------------------------------------
     def prefetch(
@@ -200,14 +156,14 @@ class CamDeviceAPI:
         dest: GPUBuffer,
         granularity: int = 4096,
     ) -> Generator:
-        """Process: initiate an asynchronous batched read into ``dest``.
-
-        Only the *leading thread*'s doorbell write costs GPU time; the
-        call returns immediately after — zero SMs are spent while the CPU
-        manages the SSDs.
-        """
-        yield from self._initiate(
-            lbas, dest, granularity, is_write=False, payloads=None
+        """Process: initiate an asynchronous batched read into ``dest``."""
+        if self._prefetch_ticket is not None:
+            raise APIUsageError(
+                "previous batch not synchronized; call "
+                "prefetch_synchronize first"
+            )
+        self._prefetch_ticket = yield from self.submit(
+            lbas, dest, granularity
         )
 
     def prefetch_synchronize(self) -> Generator:
@@ -215,9 +171,24 @@ class CamDeviceAPI:
 
         A synchronize with no prior prefetch is a no-op, matching the
         paper's Fig. 7 loop where the first iteration synchronizes before
-        any prefetch was issued.
+        any prefetch was issued.  The batch's compute and I/O times feed
+        the context's core-sizing controller, if it has one.
         """
-        yield from self._synchronize("prefetch")
+        ticket = self._prefetch_ticket
+        if ticket is None:
+            return
+        # compute time since the batch was rung = what the GPU overlapped
+        compute_time = self.env.now - ticket.rung_at
+        try:
+            yield from self.wait(ticket)
+        finally:
+            # clear the slot on failure too, so the caller can retry
+            self._prefetch_ticket = None
+        context = self.context
+        if context.controller is not None:
+            context.controller.observe(
+                compute_time, context.manager.last_io_time
+            )
 
     # -- write back -----------------------------------------------------------
     def write_back(
@@ -228,103 +199,21 @@ class CamDeviceAPI:
         payloads: Optional[list] = None,
     ) -> Generator:
         """Process: initiate an asynchronous batched write from ``src``."""
-        yield from self._initiate(
+        if self._write_back_ticket is not None:
+            raise APIUsageError(
+                "previous batch not synchronized; call "
+                "write_back_synchronize first"
+            )
+        self._write_back_ticket = yield from self.submit(
             lbas, src, granularity, is_write=True, payloads=payloads
         )
 
     def write_back_synchronize(self) -> Generator:
         """Process: block until the last ``write_back`` is durable."""
-        yield from self._synchronize("write_back")
-
-    # -- internals ----------------------------------------------------------
-    def _initiate(
-        self,
-        lbas: np.ndarray,
-        buffer: GPUBuffer,
-        granularity: int,
-        is_write: bool,
-        payloads,
-    ) -> Generator:
-        context = self.context
-        lbas = context.check_batch(lbas, buffer, granularity, payloads)
-        slot = "_pending_writeback" if is_write else "_pending_prefetch"
-        if getattr(self, slot) is not None:
-            raise APIUsageError(
-                "previous batch not synchronized; call "
-                + ("write_back_synchronize" if is_write
-                   else "prefetch_synchronize")
-                + " first"
-            )
-
-        # the four-region handshake (functional)
-        regions = SyncRegions(self.env, max(len(lbas), 1))
-        regions.write_lbas(lbas)
-        regions.ring_doorbell(
-            BatchArgs(
-                request_count=len(lbas),
-                dest_physical_address=(
-                    buffer.physical_address if buffer is not None else 0
-                ),
-                granularity=granularity,
-                is_write=is_write,
-            )
-        )
-        # leading-thread doorbell cost — the only GPU time I/O ever takes
-        yield self.env.timeout(context.config.doorbell_time)
-
-        # the device API is a causal entry point: join the bound request
-        # context if the caller set one, otherwise mint a fresh one that
-        # the matching synchronize will finish
-        tracer = self.env.tracer
-        trace_ctx = self.trace_ctx
-        ctx_owned = False
-        if tracer.enabled and trace_ctx is None:
-            trace_ctx = mint_context(
-                tracer, "write_back" if is_write else "prefetch",
-                requests=len(lbas),
-            )
-            ctx_owned = True
-        batch = BatchRequest(
-            lbas=lbas,
-            granularity=granularity,
-            is_write=is_write,
-            dest=buffer,
-            payloads=payloads,
-            regions=regions,
-            context=trace_ctx,
-        )
+        ticket = self._write_back_ticket
+        if ticket is None:
+            return
         try:
-            done = context.manager.ring(batch)
-        except Exception:
-            # shed at admission: close a context we minted ourselves so
-            # the active-context gauge cannot leak on the retry path
-            if ctx_owned and trace_ctx is not None:
-                trace_ctx.finish(shed=True)
-            raise
-        setattr(
-            self, slot,
-            _PendingBatch(regions, done, self.env.now,
-                          trace_ctx=trace_ctx, ctx_owned=ctx_owned),
-        )
-
-    def _synchronize(self, kind: str) -> Generator:
-        slot = "_pending_writeback" if kind == "write_back" else (
-            "_pending_prefetch"
-        )
-        pending: Optional[_PendingBatch] = getattr(self, slot)
-        if pending is None:
-            return  # no-op, first loop iteration
-        # compute time since the batch was rung = what the GPU overlapped
-        compute_time = self.env.now - pending.rung_at
-        try:
-            yield pending.done
+            yield from self.wait(ticket)
         finally:
-            # clear the slot on failure too, so the caller can retry
-            setattr(self, slot, None)
-            if pending.ctx_owned and pending.trace_ctx is not None:
-                pending.trace_ctx.finish()
-        context = self.context
-        if context.controller is not None and kind == "prefetch":
-            context.controller.observe(
-                compute_time, context.manager.last_io_time
-            )
+            self._write_back_ticket = None

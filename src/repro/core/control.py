@@ -1,10 +1,14 @@
 """CAM's CPU-side management threads.
 
-A persistent CPU poller watches the doorbell region; when the GPU rings,
-the manager reads the LBA batch, groups the requests per owning reactor,
+A persistent CPU poller watches the doorbell; when the GPU rings, the
+manager reads the LBA batch, groups the requests per owning reactor,
 walks each group onto its SSDs' SPDK queue pairs (charging the reactor's
-per-request CPU cost), waits for every completion, and flags the
-completion region.
+per-request CPU cost), waits for every completion, and signals the
+batch's ``done`` event.  The paper's four GPU<->CPU sync regions are
+modelled by their cost alone: the doorbell write is
+``CAMConfig.doorbell_time`` on the GPU, the poller's notice is
+``poll_interval / 2 + batch_setup_time``, and the completion flag is
+``done``.
 
 The number of *active* reactors is set by the manager's one core-sizing
 loop (:mod:`repro.core.elastic`); inactive reactors' SSDs are
@@ -50,7 +54,6 @@ class BatchRequest:
     dest: object = None  # pinned GPU buffer (or None for timing runs)
     payloads: Optional[list] = None  # write data per request
     done: Event = None  # signalled when the whole batch completed
-    regions: object = None  # SyncRegions to flag on completion
     submit_time: float = 0.0
     trace_span: object = None  # open "batch" span when tracing is enabled
     #: originating :class:`~repro.obs.causal.RequestContext` (or None);
@@ -59,7 +62,8 @@ class BatchRequest:
     #: True when the manager minted the context itself at ``ring`` (the
     #: raw entry point) and therefore owns finishing it
     context_owned: bool = False
-    #: ``(ssd_indexes, local_lbas)`` of every request, set by ``ring``
+    #: ``(ssd_indexes, local_lbas)`` of every request, set by
+    #: :meth:`CamManager.check`
     located: tuple = field(default=None, init=False, repr=False)
 
     @property
@@ -76,9 +80,9 @@ def check_lbas(lbas) -> np.ndarray:
     values (:func:`~repro.checks.as_integer_array`).
 
     Returns ``lbas`` as an array, not yet cast, and raises
-    :class:`~repro.errors.APIUsageError` for anything else.  The batch
-    entry points call it before they cast, since a cast to ``int64``
-    would quietly turn LBA 1.5 into 1.
+    :class:`~repro.errors.APIUsageError` for anything else.
+    :meth:`CamManager.check` calls it before the cast, since a cast to
+    ``int64`` would quietly turn LBA 1.5 into 1.
     """
     array = as_integer_array(lbas)
     if array is None or not array.size:
@@ -89,9 +93,9 @@ def check_lbas(lbas) -> np.ndarray:
 def check_granularity(granularity) -> None:
     """The rule for a batch's request size: a positive integer number of
     bytes (:func:`~repro.checks.as_integer`), or
-    :class:`~repro.errors.APIUsageError`.  The batch entry points call it
-    with :func:`check_lbas`, since a zero, negative or fractional size
-    would be counted as bytes moved and claimed from admission."""
+    :class:`~repro.errors.APIUsageError`.  :meth:`CamManager.check` calls
+    it, since a zero, negative or fractional size would be counted as
+    bytes moved and claimed from admission."""
     size = as_integer(granularity)
     if size is None or size <= 0:
         raise APIUsageError(
@@ -164,35 +168,51 @@ class CamManager:
         self.driver.remap(count)
 
     # -- the doorbell -> completion path ----------------------------------
-    def ring(self, batch: BatchRequest) -> Event:
-        """GPU side: hand a batch to the manager (region 3 doorbell).
+    def check(self, batch: BatchRequest) -> None:
+        """Every batch precondition, or
+        :class:`~repro.errors.APIUsageError` before admission.
 
-        Returns the batch's completion event (region 4).
-
-        With an admission controller attached, a batch that would push
-        the manager past its in-flight bounds is shed here —
-        synchronously, before the doorbell is even recorded — with a
-        typed :class:`~repro.errors.OverloadError`.  A batch whose LBAs
-        are not a non-empty 1-D integer array (see :func:`check_lbas`)
-        or whose granularity is not a positive integer (see
-        :func:`check_granularity`), one with a negative LBA or a request
-        running past its SSD's last block, or one whose payload list
-        does not match its LBA count is rejected before that with
-        :class:`~repro.errors.APIUsageError`.
+        The LBAs must pass :func:`check_lbas` and the granularity
+        :func:`check_granularity`; a payload list must match the LBA
+        count; no request may start at a negative LBA or run past its
+        SSD's last block; and a destination buffer must be pinned and
+        hold every request.  Stores the LBAs as ``int64`` and their
+        location in ``batch.located``.
         """
-        check_lbas(batch.lbas)
-        check_granularity(batch.granularity)
-        if (
-            batch.payloads is not None
-            and len(batch.payloads) != batch.request_count
-        ):
+        lbas = np.asarray(check_lbas(batch.lbas), dtype=np.int64)
+        granularity = batch.granularity
+        check_granularity(granularity)
+        count = len(lbas)
+        if batch.payloads is not None and len(batch.payloads) != count:
             raise APIUsageError("payloads must match the LBA array length")
         try:
-            located = self.platform.locate_lbas(batch.lbas)
-            self.platform.check_extent(located[1], batch.granularity)
+            located = self.platform.locate_lbas(lbas)
+            self.platform.check_extent(located[1], granularity)
         except ConfigurationError as error:
             raise APIUsageError(f"bad batch: {error}") from None
+        buffer = batch.dest
+        if buffer is not None:
+            if not buffer.pinned:
+                raise APIUsageError("buffer must be pinned CAM_alloc memory")
+            if count * granularity > buffer.size:
+                raise APIUsageError(
+                    f"batch of {count} x {granularity}B overflows "
+                    f"{buffer.size}B buffer"
+                )
+        batch.lbas = lbas
         batch.located = located
+
+    def ring(self, batch: BatchRequest) -> Event:
+        """GPU side: hand a batch to the manager (the doorbell).
+
+        Returns the batch's completion event.  A batch not yet checked
+        is put through :meth:`check` first.  With an admission
+        controller attached, a batch that would push the manager past
+        its in-flight bounds is then shed here, synchronously, with a
+        typed :class:`~repro.errors.OverloadError`.
+        """
+        if batch.located is None:
+            self.check(batch)
         if self.admission is not None:
             self.admission.admit(batch.request_count, batch.total_bytes)
         if batch.done is None:
@@ -277,7 +297,7 @@ class CamManager:
             self.admission.release(batch.request_count, batch.total_bytes)
 
     def _complete(self, batch: BatchRequest, failures: list) -> None:
-        """The batch tail: counters, metrics, spans, region 4, ``done``."""
+        """The batch tail: counters, metrics, spans, ``done``."""
         # one definition of batch I/O time everywhere: doorbell ring to
         # completion, as the GPU observes it (includes the poll delay)
         io_time = self.env.now - batch.submit_time
@@ -311,8 +331,6 @@ class CamManager:
                 tracer.end(batch.trace_span, failures=len(failures))
             if batch.context is not None and batch.context_owned:
                 batch.context.finish(failures=len(failures))
-        if batch.regions is not None:
-            batch.regions.signal_completion()
         if failures:
             batch.done.fail(self._batch_error(batch, failures))
         else:

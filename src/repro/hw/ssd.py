@@ -441,9 +441,6 @@ class SSD:
     def read_throughput(self) -> float:
         return self.bytes_read.rate()
 
-    def write_throughput(self) -> float:
-        return self.bytes_written.rate()
-
     def reset_stats(self) -> None:
         for counter in (
             self.reads_completed,

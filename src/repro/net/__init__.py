@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.backends.base import StorageBackend, make_backend
+from repro.cache.residency import integer_at_least
 from repro.hw.platform import Platform
 from repro.net.fabric import FabricLink, NetworkFaultInjector
 from repro.net.remote import RemoteFlashBackend, RemoteNode
@@ -60,6 +61,10 @@ def build_disagg(
     fabric link.  Returns the :class:`TieredBackend` (or the bare
     :class:`RemoteFlashBackend` when ``tiered=False``).
     """
+    if tiered:
+        # refused before any node is built; the tier checks that it
+        # holds at least one page
+        integer_at_least("capacity_bytes", capacity_bytes)
     injector = fault_injector or NetworkFaultInjector()
     nodes = []
     for index in range(num_nodes):

@@ -68,15 +68,16 @@ class TieredBackend(StorageBackend):
         probe_interval: float = 200e-6,
     ):
         page_blocks = integer_at_least("page_blocks", page_blocks)
+        page_bytes = page_blocks * local.platform.config.ssd.block_size
+        capacity_bytes = integer_at_least(
+            "capacity_bytes", capacity_bytes, minimum=page_bytes
+        )
         super().__init__(local.platform, reliability=local.reliability)
         self.local = local
         self.remote = remote
         self.model_name = local.model_name
-        block = self.platform.config.ssd.block_size
-        self.page_bytes = page_blocks * block
+        self.page_bytes = page_bytes
         self.page_blocks = page_blocks
-        if capacity_bytes < self.page_bytes:
-            raise ConfigurationError("tier must hold at least one page")
         self.capacity_pages = capacity_bytes // self.page_bytes
         if flush_watermark < 1:
             raise ConfigurationError("flush_watermark must be >= 1")
@@ -552,22 +553,6 @@ class TieredBackend(StorageBackend):
     def hit_rate(self) -> float:
         total = self.hits.total + self.misses.total
         return self.hits.total / total if total else 0.0
-
-    def stats(self) -> dict:
-        return {
-            "hits": self.hits.total,
-            "misses": self.misses.total,
-            "hit_rate": self.hit_rate(),
-            "evictions": self.evictions.total,
-            "degraded": self.degraded,
-            "degraded_misses": self.degraded_misses.total,
-            "queued_writes": self.queued_writes.total,
-            "dirty_pages": len(self._dirty),
-            "resident_pages": len(self.residency),
-            "flushed_pages": self.flushed_pages.total,
-            "partitions_detected": self.partitions_detected.total,
-            "resyncs": self.resyncs.total,
-        }
 
     def _publish(self) -> None:
         metrics = self.env.metrics

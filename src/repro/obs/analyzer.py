@@ -5,8 +5,7 @@
 the questions the paper's figures ask:
 
 * *Where does a request's time go?* — :meth:`seconds_by_name`,
-  :meth:`layer_seconds` / :meth:`layer_fractions` (Fig. 3),
-  :meth:`per_batch_breakdown` (Figs. 11/13 style).
+  :meth:`layer_seconds` / :meth:`layer_fractions` (Fig. 3).
 * *How busy is each management core?* — :meth:`reactor_busy_seconds`,
   :meth:`reactor_utilization`, :meth:`reactor_timeline` (Fig. 12).
 * *What does one request cost the CPU?* — :meth:`per_request_cpu_cost`
@@ -162,17 +161,6 @@ class TraceAnalyzer:
     def batch_latency_total(self) -> float:
         """Sum of batch durations == what ``LatencyStat`` totals."""
         return sum(s.duration for s in self.batch_spans())
-
-    def per_batch_breakdown(self) -> List[Dict[str, float]]:
-        """For each batch span: descendant span-seconds keyed by name,
-        plus ``total`` (the batch's own duration)."""
-        out = []
-        for batch in self.batch_spans():
-            row: Dict[str, float] = {"total": batch.duration}
-            for child in self.descendants(batch):
-                row[child.name] = row.get(child.name, 0.0) + child.duration
-            out.append(row)
-        return out
 
     # -- reactors (Fig. 12) --------------------------------------------
     def _reactor_spans(self) -> List[Span]:

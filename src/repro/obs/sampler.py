@@ -4,8 +4,9 @@ The :class:`MetricsSampler` is a pure observer process: every
 ``interval`` simulated seconds it *pulls* the live state of the
 subsystems handed to it — queue-pair occupancy, reactor busy fraction
 and crash flags, admission in-flight work, breaker/watchdog state,
-retry/shed counts, cache hit rate — into the metrics registry, then
-appends a flattened snapshot to a bounded in-memory ``history``.
+retry/shed counts, GPU cache and remote tier — into the metrics
+registry, then appends a flattened snapshot to a bounded in-memory
+``history``.
 
 Perturbation budget: the sampler's only interaction with the simulation
 is its own timer event, which shifts event *ids* but never the relative
@@ -46,10 +47,10 @@ class MetricsSampler:
         A :class:`~repro.core.control.CamManager`; its driver,
         reliability bundle, admission controller and supervisor are
         derived automatically (explicit keywords override).
-    driver / reliability / admission / cache:
+    driver / reliability / admission:
         Individually attached sources for workloads that bypass the
         manager (raw :class:`~repro.spdk.driver.SpdkDriver` runs, the
-        kernel stacks, a :class:`~repro.backends.cache.CachedBackend`).
+        kernel stacks).
     gpu_cache:
         A :class:`~repro.cache.gpucache.GpuCache` to pull the
         ``cam_gpucache_*`` families from (the GPU cache also pushes on
@@ -77,7 +78,6 @@ class MetricsSampler:
         driver=None,
         reliability=None,
         admission=None,
-        cache=None,
         gpu_cache=None,
         net=None,
         max_samples: int = 4096,
@@ -103,7 +103,6 @@ class MetricsSampler:
         self.admission = admission or (
             manager.admission if manager else None
         )
-        self.cache = cache
         self.gpu_cache = gpu_cache
         self.net = net
         #: ``(sim_time, flat_snapshot)`` ring — the live series the SLO
@@ -224,11 +223,6 @@ class MetricsSampler:
             "admission_shed_total",
             help="requests shed with OverloadError",
         )
-        self._g_hit_rate = gauge(
-            "cache_hit_rate", help="cache hits / lookups so far",
-        )
-        self._c_hits = counter("cache_hits_total", help="cache hits")
-        self._c_misses = counter("cache_misses_total", help="cache misses")
         self._g_dropped_spans = gauge(
             "tracer_dropped_spans",
             help="spans evicted from the tracer ring buffer",
@@ -347,11 +341,6 @@ class MetricsSampler:
                 admission.admitted_requests.total
             )
             self._c_shed.child().set_total(admission.shed_requests.total)
-        cache = self.cache
-        if cache is not None:
-            self._g_hit_rate.child().set(cache.hit_rate())
-            self._c_hits.child().set_total(cache.hits.total)
-            self._c_misses.child().set_total(cache.misses.total)
         gpu_cache = self.gpu_cache
         if gpu_cache is not None:
             # the GPU cache owns its cam_gpucache_* families; the pull

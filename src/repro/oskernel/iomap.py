@@ -3,8 +3,7 @@
 The kernel stacks pin destination pages before DMA and unpin after — per
 request, because "they don't know the total request size ahead of time, so
 they can't map once in a single batching access" (paper Section II-A).
-CAM's opportunity-for-improvement is precisely mapping once per *batch*;
-:meth:`IOMapper.pin_batch` models that cheaper path for comparison.
+CAM's opportunity-for-improvement is precisely mapping once per *batch*.
 """
 
 from __future__ import annotations
@@ -44,15 +43,3 @@ class IOMapper:
         self.pages_pinned.add(self.pages_for(nbytes))
         self.pin_operations.add()
         return self.env.timeout(self.pin_time(nbytes))
-
-    def pin_batch(self, nbytes: int, requests: int):
-        """Process: map a whole batch once (the CAM-style amortized path).
-
-        One pin covers every request in the batch, so per-request cost
-        collapses by ``1/requests``.
-        """
-        if requests < 1:
-            requests = 1
-        self.pages_pinned.add(self.pages_for(nbytes))
-        self.pin_operations.add()
-        return self.env.timeout(self.pin_time(nbytes) / requests * 1.0)

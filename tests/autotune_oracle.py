@@ -121,14 +121,14 @@ class TunedDeviceAPI(CamDeviceAPI):
         super().__init__(context)
         self.tuner = tuner
 
-    def _synchronize(self, kind: str) -> Generator:
-        pending = self._pending_prefetch if kind == "prefetch" else None
-        if pending is not None:
+    def prefetch_synchronize(self) -> Generator:
+        ticket = self._prefetch_ticket
+        if ticket is not None:
             # compute time since the batch was rung = what the GPU
             # overlapped
-            compute_time = self.env.now - pending.rung_at
-        yield from super()._synchronize(kind)
-        if pending is None:
+            compute_time = self.env.now - ticket.rung_at
+        yield from super().prefetch_synchronize()
+        if ticket is None:
             return
         manager = self.context.manager
         cores = self.tuner.observe(compute_time, manager.last_io_time)

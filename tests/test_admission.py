@@ -340,34 +340,48 @@ def test_entry_points_reject_a_bad_granularity_before_admission(
     assert admission.inflight_bytes == 0
 
 
-#: batches the device APIs must refuse before the doorbell, as
-#: ``(max_batch_requests, 4 KiB LBAs, buffer bytes, error text)``.  The
-#: async API let both through: the oversized batch completed 16 KiB
+#: batches every entry point must refuse before admission, as
+#: ``(max_batch_requests, 4 KiB LBAs, buffer bytes, pinned, error
+#: text)``.  The async API let the first two through, and ``ring`` the
+#: oversized and unpinned ones: the oversized batch completed 16 KiB
 #: into the 4 KiB buffer on a timing platform and raised
 #: AllocationError out of ``env.run`` from the walk on a functional one
 _OVERSIZED_BATCHES = {
-    "overflows the buffer": (65536, 4, 4096, "overflows"),
+    "overflows the buffer": (65536, 4, 4096, True, "overflows"),
     "over max_batch_requests": (
-        2, 3, 3 * 4096, "exceeds max_batch_requests",
+        2, 3, 3 * 4096, True, "exceeds max_batch_requests",
     ),
+    "unpinned buffer": (65536, 4, 4 * 4096, False, "must be pinned"),
 }
+
+#: ``max_batch_requests`` is a context rule, so ``ring`` has no case of it
+_OVERSIZED_CASES = [
+    (name, entry)
+    for name in sorted(_OVERSIZED_BATCHES)
+    for entry in ("device api", "async api", "ring")
+    if (name, entry) != ("over max_batch_requests", "ring")
+]
 
 
 @pytest.mark.parametrize("functional", [False, True],
                          ids=["timing", "functional"])
-@pytest.mark.parametrize("entry", ["device api", "async api"])
-@pytest.mark.parametrize("name", sorted(_OVERSIZED_BATCHES))
+@pytest.mark.parametrize("name, entry", _OVERSIZED_CASES)
 def test_device_apis_reject_an_oversized_batch_before_admission(
     name, entry, functional
 ):
-    limit, count, buffer_bytes, message = _OVERSIZED_BATCHES[name]
+    """The two device APIs and the raw ``CamManager.ring`` refuse a
+    batch their buffer cannot take before the doorbell and admission."""
+    limit, count, buffer_bytes, pinned, message = _OVERSIZED_BATCHES[name]
     platform = Platform(PlatformConfig(num_ssds=2), functional=functional)
     env = platform.env
     admission = AdmissionController(env)
     context = CamContext(
         platform, admission=admission, max_batch_requests=limit,
     )
-    buffer = context.alloc(buffer_bytes)
+    buffer = (
+        context.alloc(buffer_bytes) if pinned
+        else platform.gpu.memory.alloc(buffer_bytes)
+    )
     lbas = np.arange(count, dtype=np.int64) * 8
     device_api = context.device_api()
     async_api = CamAsyncAPI(context)
@@ -377,9 +391,16 @@ def test_device_apis_reject_an_oversized_batch_before_admission(
             if entry == "device api":
                 yield from device_api.prefetch(lbas, buffer, 4096)
                 yield from device_api.prefetch_synchronize()
-            else:
+            elif entry == "async api":
                 ticket = yield from async_api.submit(lbas, buffer, 4096)
                 yield from async_api.wait(ticket)
+            else:
+                yield context.manager.ring(
+                    BatchRequest(
+                        lbas=lbas, granularity=4096, is_write=False,
+                        dest=buffer,
+                    )
+                )
         # no doorbell time spent, nothing admitted
         assert env.now == 0.0
         assert admission.admitted_requests.total == 0
@@ -460,18 +481,24 @@ def test_manager_ring_rejects_mismatched_payloads_before_admission(
     assert admission.inflight_requests == 0
 
 
-def test_batch_raising_at_start_leaves_poller_alive():
-    """A batch whose start raises (here: a write-back source buffer too
-    small for its requests) surfaces the error from ``env.run`` and
+def test_batch_raising_at_start_leaves_poller_alive(monkeypatch):
+    """A batch whose start raises (here: a one-shot failure planted in
+    the per-reactor grouping) surfaces the error from ``env.run`` and
     returns its admission claim; the poller serves the next batch."""
     platform = Platform(PlatformConfig(num_ssds=4), functional=False)
     admission = AdmissionController(platform.env, max_inflight_requests=64)
     manager = CamManager(platform, admission=admission)
     env = platform.env
-    small = platform.gpu.memory.alloc(4096)
+    group = CamManager._group
+
+    def group_once_failing(self, batch, start, stop):
+        monkeypatch.setattr(CamManager, "_group", group)
+        raise AllocationError("planted failure at batch start")
+
+    monkeypatch.setattr(CamManager, "_group", group_once_failing)
     bad = BatchRequest(
         lbas=np.arange(4, dtype=np.int64) * 8,
-        granularity=4096, is_write=True, dest=small,
+        granularity=4096, is_write=True,
     )
     manager.ring(bad)
     with pytest.raises(AllocationError):

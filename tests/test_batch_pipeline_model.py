@@ -4,16 +4,14 @@ The oracle is the pipeline as it was before batches and reactor walks
 became heap-callback records, kept here verbatim: a poller that spawns
 one handler process per batch, a handler that slices and groups the
 batch, one ``io_batch`` generator per reactor group (a process of its
-own, joined by an ``AllOf``, when a slice spans several reactors), and
-sync regions whose doorbell and completion events exist from the start.
+own, joined by an ``AllOf``, when a slice spans several reactors).
 Random compositions of SSDs, reactors, submitters, admission slicing,
 elastic remaps, reactor crashes, media faults, tracing and metrics run
 through both.  The records must reproduce every batch outcome, every
 completion in order, every span, metric, counter and accountant value,
 and the oracle's heap-event count minus exactly the hops they removed:
-one handler start per batch, one walk start per group of a slice that
-spans several reactors, and the two region events of a batch that
-carries regions.
+one handler start per batch and one walk start per group of a slice
+that spans several reactors.
 """
 
 from typing import Generator, Optional
@@ -25,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.config import PlatformConfig
 from repro.core.control import BatchRequest, CamManager
-from repro.core.regions import BatchArgs, SyncRegions
 from repro.errors import (
     ConfigurationError,
     DeviceError,
@@ -46,27 +43,6 @@ GRANULARITY = 4 * KiB
 STEP = 5 * US
 #: reactor crashes land on a finer grid, so they fall mid-group
 CRASH_TICK = 0.3 * US
-
-
-class OracleRegions(SyncRegions):
-    """The sync regions with both handshake events created up front."""
-
-    def __init__(self, env, max_requests, log):
-        super().__init__(env, max_requests)
-        self._doorbell = env.event()
-        self._completion = env.event()
-        #: counts the region events put on the heap
-        self.log = log
-
-    def ring_doorbell(self, args):
-        super().ring_doorbell(args)  # succeeds the doorbell event
-        self.log["region_events"] += 1
-
-    def signal_completion(self):
-        super().signal_completion()  # succeeds the completion event
-        self._completion = self.env.event()
-        self._doorbell = self.env.event()
-        self.log["region_events"] += 1
 
 
 def oracle_io_batch(
@@ -253,8 +229,6 @@ class OracleManager(CamManager):
                 tracer.end(batch.trace_span, failures=len(failures))
             if batch.context is not None and batch.context_owned:
                 batch.context.finish(failures=len(failures))
-        if batch.regions is not None:
-            batch.regions.signal_completion()
         if failures:
             batch.done.fail(self._batch_error(batch, failures))
         else:
@@ -375,7 +349,7 @@ def _run(scenario, oracle):
             max_inflight_bytes=1 << 40, degraded_batch_limit=limit,
             high_water=high_water,
         )
-    log = {"start_hops": 0, "region_events": 0}
+    log = {"start_hops": 0}
     kwargs = dict(num_cores=scenario["num_reactors"], admission=admission)
     manager = (
         OracleManager(platform, log, **kwargs) if oracle
@@ -411,22 +385,11 @@ def _run(scenario, oracle):
     manager._batch_error = batch_error
     rng = np.random.default_rng(scenario["seed"])
 
-    def submitter(index, instant, count, is_write, with_regions):
+    def submitter(index, instant, count, is_write):
         yield env.timeout(instant * STEP)
         lbas = rng.integers(0, 1 << 16, size=count).astype(np.int64)
-        regions = None
-        if with_regions:
-            regions = (
-                OracleRegions(env, count, log) if oracle
-                else SyncRegions(env, count)
-            )
-            regions.write_lbas(lbas)
-            regions.ring_doorbell(
-                BatchArgs(count, 0, GRANULARITY, is_write)
-            )
         batch = BatchRequest(
             lbas=lbas, granularity=GRANULARITY, is_write=is_write,
-            regions=regions,
         )
         try:
             done = manager.ring(batch)
@@ -459,10 +422,8 @@ def _run(scenario, oracle):
             else:
                 driver.pool.reactors[reactor_id].crash()
 
-    for index, (instant, count, is_write, with_regions) in enumerate(
-        scenario["batches"]
-    ):
-        env.process(submitter(index, instant, count, is_write, with_regions))
+    for index, (instant, count, is_write) in enumerate(scenario["batches"]):
+        env.process(submitter(index, instant, count, is_write))
     env.process(remapper())
     env.process(crasher())
     env.run()
@@ -512,7 +473,6 @@ _batch = st.tuples(
     st.integers(0, 6),                  # submission instant (x STEP)
     st.integers(1, 512),                # requests
     st.booleans(),                      # write?
-    st.booleans(),                      # carries sync regions?
 )
 
 _scenario = st.fixed_dictionaries({
@@ -545,8 +505,7 @@ def _assert_matches_oracle(scenario):
     observed, events, _ = _run(scenario, oracle=False)
     oracle_observed, oracle_events, log = _run(scenario, oracle=True)
     assert observed == oracle_observed
-    removed = log["start_hops"] + log["region_events"]
-    assert oracle_events - events == removed
+    assert oracle_events - events == log["start_hops"]
     return observed, log
 
 
@@ -571,11 +530,11 @@ def test_oracle_sees_slices_crashes_remaps_and_faults():
         "num_ssds": 6, "num_reactors": 3, "seed": 3, "error_rate": 3e-2,
         "admission": (1 << 20, 7, 0.001),
         "batches": [
-            (0, 200, False, True),    # sliced, multi-reactor, regions
-            (0, 1, True, False),      # single request, same instant
-            (0, 64, True, True),
-            (2, 300, False, False),
-            (6, 5, False, True),
+            (0, 200, False),    # sliced, multi-reactor
+            (0, 1, True),       # single request, same instant
+            (0, 64, True),
+            (2, 300, False),
+            (6, 5, False),
         ],
         "remaps": [(1, 0), (3, 2)],
         "crashes": [(30, 1, False), (900, 2, True)],
@@ -593,7 +552,6 @@ def test_oracle_sees_slices_crashes_remaps_and_faults():
     # error CQEs (no exception) and requests a crash kept off the wire
     assert failed == {None, "ReactorOfflineError"}
     assert any(status for _, _, status in completions)
-    assert log["region_events"] == 2 * 3
     assert log["start_hops"] > len(scenario["batches"])
     assert {"batch", "doorbell_poll", "submit", "nvme_io"} <= {
         span[1] for span in spans

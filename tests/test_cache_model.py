@@ -561,9 +561,11 @@ def test_every_consumer_matches_the_reference_residency_deep(case):
 
 # -- geometry: one integer rule for every cache ------------------------
 
-def _spy_cache(page_bytes):
+def _spy_cache(page_bytes, capacity_bytes=4096):
     platform = Platform(PlatformConfig(num_ssds=1), functional=False)
-    return CachedBackend(SpyBackend(platform), 4096, page_bytes=page_bytes)
+    return CachedBackend(
+        SpyBackend(platform), capacity_bytes, page_bytes=page_bytes
+    )
 
 
 def _gpu_cache():
@@ -599,6 +601,24 @@ def _kv_append(tokens):
         assert store.allocated_blocks == 0
 
 
+def _gpu_fill(granularity):
+    cache = _gpu_cache()
+    try:
+        cache.fill([0, 8], granularity=granularity)
+    finally:
+        assert cache.fills == cache.resident_lines == 0
+
+
+def _tier_capacity(capacity_bytes):
+    platform = Platform(PlatformConfig(num_ssds=1), functional=False)
+    try:
+        build_disagg(platform, num_nodes=1, functional=False,
+                     capacity_bytes=capacity_bytes)
+    finally:
+        # no node was built: nothing was put on the event heap
+        assert platform.env.peek() == float("inf")
+
+
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: _spy_cache(0), id="zero page_bytes"),
     pytest.param(lambda: _spy_cache(-4096), id="negative page_bytes"),
@@ -616,6 +636,26 @@ def _kv_append(tokens):
     pytest.param(lambda: _kv_store(1.5), id="fractional capacity_blocks"),
     pytest.param(lambda: _kv_store(True), id="boolean capacity_blocks"),
     pytest.param(lambda: _kv_append(1.5), id="fractional token count"),
+    # the capacities and the write-back fill size
+    pytest.param(lambda: _gpu_fill(1.5), id="fractional fill granularity"),
+    pytest.param(lambda: _gpu_fill(True), id="boolean fill granularity"),
+    pytest.param(lambda: _gpu_fill(0), id="zero fill granularity"),
+    pytest.param(lambda: _gpu_fill(-4096), id="negative fill granularity"),
+    pytest.param(
+        lambda: GpuCache(
+            Platform(PlatformConfig(num_ssds=1), functional=False),
+            capacity_bytes=16384.5,
+        ),
+        id="fractional GpuCache capacity_bytes",
+    ),
+    pytest.param(
+        lambda: _spy_cache(PAGE, capacity_bytes=16384.5),
+        id="fractional CachedBackend capacity_bytes",
+    ),
+    pytest.param(
+        lambda: _tier_capacity(2 ** 20 + 0.5),
+        id="fractional tier capacity_bytes",
+    ),
 ])
 def test_cache_geometry_rejects_a_non_integer_before_any_state_changes(
     build,
@@ -634,3 +674,14 @@ def test_cache_geometry_takes_numpy_integers():
     tier = build_disagg(platform, num_nodes=1, functional=False,
                         page_blocks=np.int64(8))
     assert tier.page_bytes == 8 * BLOCK
+    cache.fill([8], granularity=np.int64(LINE))
+    assert cache.fills == 1
+    assert GpuCache(
+        platform, capacity_bytes=np.int64(4 * LINE)
+    ).capacity_lines == 4
+    host = _spy_cache(PAGE, capacity_bytes=np.int64(4 * PAGE))
+    assert host.capacity_pages == 4
+    tier = build_disagg(platform, num_nodes=1, functional=False,
+                        capacity_bytes=np.int64(2 ** 20))
+    assert tier.capacity_pages == 2 ** 20 // tier.page_bytes
+

@@ -1,4 +1,4 @@
-"""Tests for the raw async API, the pipeline helper and the data path."""
+"""Tests for the raw async API and the pipeline helper."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,12 @@ from repro.config import PlatformConfig
 from repro.core import (
     CamAsyncAPI,
     CamContext,
-    DirectDataPath,
     DoubleBuffer,
     run_prefetch_pipeline,
 )
-from repro.errors import AllocationError, APIUsageError
+from repro.errors import APIUsageError
 from repro.hw.platform import Platform
+from repro.obs import install_tracer
 from repro.units import KiB
 from repro.workloads.vdisk import VirtualDisk
 
@@ -74,6 +74,44 @@ def test_async_double_wait_rejected():
             yield from api.wait(ticket)
 
     platform.env.run(platform.env.process(driver()))
+
+
+def test_traced_async_batches_are_prefetch_requests_finished_at_wait():
+    """A traced async batch is a causal entry point, as a sync one is:
+    a ``prefetch`` request context minted at submit and finished at
+    wait, with the batch span in its trace."""
+    platform, context = _context()
+    env = platform.env
+    tracer = install_tracer(env)
+    api = CamAsyncAPI(context)
+    buffer = context.alloc(64 * KiB)
+    lbas = np.arange(8, dtype=np.int64) * 8
+    tickets, waited = [], []
+
+    def driver():
+        for offset in (0, 256):
+            tickets.append((yield from api.submit(lbas + offset, buffer)))
+        assert tracer.contexts_active == 2
+        yield from api.wait(tickets[0])
+        waited.append(env.now)
+        yield from api.wait_all()
+        waited.append(env.now)
+
+    env.run(env.process(driver()))
+    assert tracer.contexts_active == 0
+    spans = list(tracer.spans())
+    roots = [span for span in spans if span.name == "request"]
+    assert sorted(root.tags["kind"] for root in roots) == ["prefetch"] * 2
+    for ticket, finished in zip(tickets, waited):
+        root = ticket.trace_ctx.root
+        assert root in roots
+        assert root.end == finished
+        (batch,) = [
+            span for span in spans
+            if span.name == "batch"
+            and span.tags["trace_id"] == ticket.trace_ctx.trace_id
+        ]
+        assert batch.end <= finished
 
 
 def test_sync_matches_async_throughput():
@@ -163,36 +201,3 @@ def test_prefetch_pipeline_functional_data():
     )
     assert np.array_equal(seen[0], staged[: 8 * 4096])
     assert np.array_equal(seen[1], staged[8 * 4096 :])
-
-
-# --- direct data path -------------------------------------------------------
-
-def test_datapath_register_translate_resolve():
-    platform, context = _context()
-    path = DirectDataPath(platform.gpu.memory)
-    buffer = platform.gpu.memory.alloc(64 * KiB)
-    physical = path.register(buffer)
-    assert path.translate(buffer, 4096) == physical + 4096
-    resolved, offset = path.resolve(physical + 4096)
-    assert resolved is buffer
-    assert offset == 4096
-    path.unregister(buffer)
-    with pytest.raises(AllocationError):
-        path.resolve(physical)
-
-
-def test_datapath_translate_bounds():
-    platform, context = _context()
-    path = DirectDataPath(platform.gpu.memory)
-    buffer = platform.gpu.memory.alloc(4096)
-    path.register(buffer)
-    with pytest.raises(AllocationError):
-        path.translate(buffer, 4096)
-
-
-def test_datapath_unregister_unknown_rejected():
-    platform, context = _context()
-    path = DirectDataPath(platform.gpu.memory)
-    buffer = platform.gpu.memory.alloc(4096)
-    with pytest.raises(AllocationError):
-        path.unregister(buffer)
